@@ -5,7 +5,7 @@ mode spectrum, the min-max bound mu1 + eps^2 (k pi/L)^2, the gap to the
 limit eigenvalue of the same rank, and the two eigenvector-structure
 errors (fiber field vs (lam u0 + 1) v_j, matrix field vs v_j).
 
-Takes about half a minute; writes convergence.csv / convergence.json.
+Takes about ten seconds on two cores; writes convergence.csv / convergence.json.
 """
 
 import time

@@ -85,8 +85,7 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
         eps = config.eps_list[0]
         mesh = generate_mesh(geometry, config.n_div)
         merged = merged_spectrum(mesh, eps, config.j_max, config.k_total,
-                                 L=geometry.height, tol=config.eig_tol,
-                                 threads=threads)
+                                 L=geometry.height, tol=config.eig_tol)
         path = os.path.join(out, f"eps_spectrum.csv")
         with open(path, "w") as fh:
             fh.write(f"# config_hash={tag}\n")
@@ -106,7 +105,7 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
         return 0
 
     # validate: oracle equivalences; nonzero exit on any failure
-    failures = _run_validation(config, geometry, threads)
+    failures = _run_validation(config, geometry)
     with open(os.path.join(out, "validate.json"), "w") as fh:
         json.dump({"config_hash": tag, "failures": failures,
                    "passed": not failures}, fh, indent=2, sort_keys=True)
@@ -116,7 +115,7 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
     return 0
 
 
-def _run_validation(config: RunConfig, geometry, threads: int) -> list[str]:
+def _run_validation(config: RunConfig, geometry) -> list[str]:
     failures = []
     params = DispersionParams(geometry=geometry, n_terms=config.n_terms)
 
@@ -138,16 +137,16 @@ def _run_validation(config: RunConfig, geometry, threads: int) -> list[str]:
         if rel > 1e-9:
             failures.append(f"kron/merge mismatch {rel:.2e} at eps={eps}")
 
-    # Lanczos vs dense on a coarse mode pencil
+    # ARPACK shift-invert with complement probe vs dense on a coarse pencil
     from .assembly import assemble_mode_pencil
     pencil = assemble_mode_pencil(coarse, 0.3, (np.pi / geometry.height) ** 2)
     if pencil.K.shape[0] <= 2000:
         dense_vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
-        lanczos = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)
-        for pair, ref in zip(lanczos, dense_vals[:6]):
+        krylov = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)
+        for pair, ref in zip(krylov, dense_vals[:6]):
             if abs(pair.value - ref) > 1e-9 * max(1.0, abs(ref)):
                 failures.append(
-                    f"lanczos/dense mismatch {pair.value!r} vs {ref!r}")
+                    f"shift-invert/dense mismatch {pair.value!r} vs {ref!r}")
                 break
     return failures
 

@@ -395,7 +395,8 @@ def write_mesh(mesh: TriMesh, path) -> None:
 
 
 def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
-    """Read the text format written by :func:`write_mesh`."""
+    """Read the text format written by :func:`write_mesh`; ``n_div`` and ``h``
+    follow from the grid nodes on the bottom edge."""
     with open(path) as fh:
         nv, nt = map(int, fh.readline().split())
         vertices = np.empty((nv, 2))
@@ -407,9 +408,13 @@ def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
             parts = fh.readline().split()
             triangles[i] = [int(v) for v in parts[:3]]
             tags[i] = int(parts[3])
+    # grid nodes on the bottom edge: n_div + 1 of them, spaced by h
+    xmin, ymin = vertices.min(axis=0)
+    side = vertices[:, 0].max() - xmin
+    n_div = int(np.count_nonzero(vertices[:, 1] - ymin <= 1e-12 * side)) - 1
+    h = side / n_div
     interface_nodes = np.array([], dtype=np.int64)
     boundary_nodes = np.array([], dtype=np.int64)
-    h = 0.0
     if geometry is not None:
         c = np.asarray(geometry.center)
         sd = np.hypot(vertices[:, 0] - c[0], vertices[:, 1] - c[1]) - geometry.radius
@@ -422,4 +427,4 @@ def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
         boundary_nodes = np.where(on_bnd)[0]
     return TriMesh(vertices=vertices, triangles=triangles, tags=tags,
                    interface_nodes=interface_nodes, boundary_nodes=boundary_nodes,
-                   geometry=geometry, h=h)
+                   geometry=geometry, h=h, n_div=n_div)

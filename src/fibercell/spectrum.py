@@ -134,41 +134,37 @@ def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, j_max: int, k_total: int,
-                    L: float = None, tol: float = 1e-9,
-                    threads: int = 1) -> list[MergedEigenvalue]:
-    """Globally sorted merge of the per-mode spectra.
+                    L: float = None, tol: float = 1e-9) -> list[MergedEigenvalue]:
+    """Globally sorted merge of the per-mode spectra, solved lazily.
 
-    Ties break by (value, j).  Raises if j_max is too small for the merge
-    to be provably complete: the last merged value must not exceed the
-    smallest eigenvalue of mode j_max (mode pencils increase with j).
+    Ties break by (value, j).  Mode pencils increase with j, so
+    lambda_r(j) >= lambda_r(j-1): mode j solves only for as many pairs as
+    mode j-1 placed in the running top k_total, and the merge is complete
+    once a mode places none or its smallest eigenvalue reaches the k-th
+    merged value.  Raises if mode j_max is reached without that proof.
     """
     if L is None:
         L = mesh.geometry.height
     if j_max < 1 or k_total < 1:
         raise ValueError("j_max and k_total must be >= 1")
 
-    def solve(j):
-        return mode_spectrum(mesh, eps, j, L, k_total, tol=tol)
+    merged: list[MergedEigenvalue] = []
+    need = k_total
+    for j in range(1, j_max + 1):
+        spec = mode_spectrum(mesh, eps, j, L, need, tol=tol)
+        merged += [MergedEigenvalue(value=pair.value, j=j, rank=rank, pair=pair)
+                   for rank, pair in enumerate(spec.pairs, start=1)]
+        merged.sort(key=lambda e: (e.value, e.j, e.rank))
+        del merged[k_total:]
+        need = sum(e.j == j for e in merged)
+        ground = spec.pairs[0].value
+        if need == 0 or merged[-1].value <= ground:
+            return merged
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            spectra = list(pool.map(solve, range(1, j_max + 1)))
-    else:
-        spectra = [solve(j) for j in range(1, j_max + 1)]
-
-    entries = []
-    for spec in spectra:
-        for rank, pair in enumerate(spec.pairs, start=1):
-            entries.append(MergedEigenvalue(value=pair.value, j=spec.j,
-                                            rank=rank, pair=pair))
-    entries.sort(key=lambda e: (e.value, e.j, e.rank))
-    merged = entries[:k_total]
-
-    min_last_mode = spectra[j_max - 1].pairs[0].value
-    if merged[-1].value > min_last_mode * (1 + 1e-12):
+    if merged[-1].value > ground * (1 + 1e-12):
         raise ValueError(
             f"j_max={j_max} insufficient: merged value {merged[-1].value:.6g} "
-            f"exceeds the smallest eigenvalue {min_last_mode:.6g} of mode "
+            f"exceeds the smallest eigenvalue {ground:.6g} of mode "
             f"{j_max}; raise j_max")
     return merged
 
@@ -179,7 +175,8 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, L: float,
 
         K3 = K2(1, eps^-2) x M1 + M2(eps^2, 1) x K1,   M3 = M2(1,1) x M1.
 
-    Dense when the product size allows it, Lanczos otherwise.
+    Dense when the product size allows it, the ARPACK shift-invert solve of
+    ``smallest_eigenpairs`` otherwise.
     """
     if mesh.n_div and mesh.n_div > 40:
         raise ValueError("3D oracle is restricted to coarse meshes (n_div <= 40)")
@@ -270,9 +267,6 @@ def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh,
 def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
     """First Dirichlet eigenvalue of the fitted disk on this mesh."""
     K_D, M_D, _ = assemble_dirichlet_disk(mesh)
-    if K_D.shape[0] <= DENSE_ORACLE_MAX_N:
-        values, _ = dense_eigen_oracle(K_D, M_D)
-        return float(values[0])
     return smallest_eigenpairs(K_D, M_D, 1, tol=tol)[0].value
 
 
@@ -282,7 +276,8 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
                       mesh: TriMesh = None) -> ConvergenceReport:
     """Full epsilon sweep against the limit spectrum.
 
-    Merged eigenvalues pair with the limit root of the same mode label j.
+    The eps values are independent and run on ``threads`` workers.  Merged
+    eigenvalues pair with the limit root of the same mode label j.
     The bound column is mu1 + eps^2 (k pi / L)^2 with the k-th *merged*
     rank, the slack subtracts lambda_eps, and c_h reports the same-mesh
     overestimate of mu1 so the h-effect can be separated from the
@@ -299,11 +294,9 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
     c_h = mu1_h - params.mu1
     L = geometry.height
 
-    rows = []
-    reorderings = []
-    for eps in eps_list:
-        merged = merged_spectrum(mesh, eps, j_max, k_total, L=L, tol=eig_tol,
-                                 threads=threads)
+    def sweep_eps(eps):
+        rows, reorderings = [], []
+        merged = merged_spectrum(mesh, eps, j_max, k_total, L=L, tol=eig_tol)
         for k, entry in enumerate(merged, start=1):
             lam0_k = (k * math.pi / L) ** 2
             bound = params.mu1 + eps ** 2 * lam0_k
@@ -317,6 +310,15 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
                 e_fiber=err_f, e_matrix=err_m))
             if entry.rank == 1 and entry.j != k:
                 reorderings.append({"eps": eps, "k": k, "j": entry.j})
+        return rows, reorderings
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(sweep_eps, eps_list))
+    else:
+        results = [sweep_eps(eps) for eps in eps_list]
+    rows = [row for eps_rows, _ in results for row in eps_rows]
+    reorderings = [item for _, eps_items in results for item in eps_items]
 
     return ConvergenceReport(rows=rows, geometry=geometry, n_div=n_div,
                              mu1_exact=params.mu1, mu1_discrete=mu1_h,

@@ -174,5 +174,5 @@ def test_criterion_10_eigensolver_oracle(geometry, mesh16):
             rel = abs(pair.value - ref) / max(1.0, abs(ref))
             assert rel <= 1e-9, f"{name}: {pair.value} vs {ref}"
             worst = max(worst, rel)
-    _report(10, f"Lanczos matches the dense oracle on {len(pencils)} pencils, "
+    _report(10, f"ARPACK shift-invert matches the dense oracle on {len(pencils)} pencils, "
                 f"worst rel {worst:.1e}")

@@ -61,12 +61,19 @@ def test_dense_oracle_size_limit():
         fc.dense_eigen_oracle(sp.identity(n), sp.identity(n))
 
 
-def test_lanczos_matches_dense_on_mode_pencil(mesh16):
-    pencil = fc.assemble_mode_pencil(mesh16, 0.3, math.pi ** 2)
-    values, _ = fc.dense_eigen_oracle(pencil.K, pencil.M)
-    pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, 6)
-    for pair, ref in zip(pairs, values[:6]):
-        assert abs(pair.value - ref) <= max(1e-9, 1e-9 * abs(ref))
+def test_lanczos_matches_dense_on_mode_pencil(geometry, mesh16):
+    # the second case holds the double eigenvalue 652.352 at ranks 7 and 8,
+    # whose second copy a single Krylov space from the all-ones start misses
+    mesh20 = fc.generate_mesh(geometry, 20)
+    for mesh, eps, j, k in ((mesh16, 0.3, 1, 6), (mesh20, 0.4, 8, 8)):
+        pencil = fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
+        values, _ = fc.dense_eigen_oracle(pencil.K, pencil.M)
+        pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, k)
+        assert len(pairs) == k
+        for pair, ref in zip(pairs, values[:k]):
+            assert abs(pair.value - ref) <= max(1e-9, 1e-9 * abs(ref))
+    assert values[6] == pytest.approx(652.352, rel=1e-6)
+    assert values[7] == pytest.approx(values[6], rel=1e-10)
 
 
 def test_accepted_pairs_meet_contract(mesh16):
@@ -76,7 +83,7 @@ def test_accepted_pairs_meet_contract(mesh16):
     assert values == sorted(values)
     M = pencil.M
     for i, pi in enumerate(pairs):
-        assert pi.residual <= 1e-8
+        assert pi.residual <= 1e-9
         for pj in pairs[i + 1:]:
             assert abs(pi.vector @ (M @ pj.vector)) <= 1e-8
         assert pi.vector @ (M @ pi.vector) == pytest.approx(1.0, abs=1e-8)
@@ -114,3 +121,19 @@ def test_k_out_of_range(mesh16):
 def test_cluster_widths_detector():
     widths = fc.cluster_widths([1.0, 2.0, 2.0 + 1e-9, 5.0])
     assert widths == [1, 2, 1]
+
+
+def test_off_centre_fiber_pencil_converges(mesh64):
+    # a fiber centre moved by 1e-6 used to make converge raise
+    # EigenConvergenceError ("only 0 of 8") on exactly this pencil
+    off_centre = fc.build_cell_geometry(center=(0.5 + 1e-6, 0.5))
+    mesh = fc.generate_mesh(off_centre, 64)
+    gamma = (8 * math.pi) ** 2
+    pencil = fc.assemble_mode_pencil(mesh, 0.4, gamma)
+    pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, 8, tol=1e-9)
+    centred = fc.assemble_mode_pencil(mesh64, 0.4, gamma)
+    ref = fc.smallest_eigenpairs(centred.K, centred.M, 8, tol=1e-9)
+    assert len(pairs) == 8
+    for pair, expected in zip(pairs, ref):
+        assert pair.residual <= 1e-9
+        assert pair.value == pytest.approx(expected.value, rel=1e-8)

@@ -102,6 +102,7 @@ def test_mesh_text_roundtrip(tmp_path, geometry, mesh16):
     assert np.array_equal(back.tags, mesh16.tags)
     assert np.allclose(back.vertices, mesh16.vertices, rtol=0, atol=0)
     assert np.array_equal(back.interface_nodes, mesh16.interface_nodes)
+    assert (back.n_div, back.h) == (16, mesh16.h)
     head = path.read_text().splitlines()[0].split()
     assert head == [str(len(mesh16.vertices)), str(len(mesh16.triangles))]
 

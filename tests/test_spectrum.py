@@ -44,9 +44,21 @@ def test_merged_nondecreasing_and_positive(mesh16):
 
 def test_merged_bound_first_five(mesh64, params):
     # first 5 merged values at eps = 0.1 below mu1 + eps^2 lambda_5^0
-    merged = fc.merged_spectrum(mesh64, 0.1, 8, 5, L=1.0, threads=4)
+    merged = fc.merged_spectrum(mesh64, 0.1, 8, 5, L=1.0)
     bound = params.mu1 + 0.01 * (5 * math.pi) ** 2
     assert all(e.value < bound for e in merged)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.2])
+def test_lazy_merge_matches_full_merge(mesh16, eps):
+    # full per-mode spectra for every mode up to j_max, merged afterwards
+    full = sorted(((p.value, j, rank)
+                   for j in range(1, 9)
+                   for rank, p in enumerate(fc.mode_spectrum(mesh16, eps, j, 1.0, 8).pairs,
+                                            start=1)))[:8]
+    merged = fc.merged_spectrum(mesh16, eps, 8, 8, L=1.0)
+    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in full]
+    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in full], rel=1e-10)
 
 
 def test_merged_insufficient_jmax_detected(mesh16):
@@ -54,10 +66,14 @@ def test_merged_insufficient_jmax_detected(mesh16):
         fc.merged_spectrum(mesh16, 0.2, 2, 8, L=1.0)
 
 
-def test_threaded_merge_deterministic(mesh16):
-    a = fc.merged_spectrum(mesh16, 0.3, 4, 5, L=1.0, threads=1)
-    b = fc.merged_spectrum(mesh16, 0.3, 4, 5, L=1.0, threads=4)
-    assert [(e.value, e.j, e.rank) for e in a] == [(e.value, e.j, e.rank) for e in b]
+def test_threaded_merge_deterministic(geometry, mesh16):
+    # threads run the eps values in parallel; rows keep the eps order
+    a = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, threads=1,
+                             mesh=mesh16)
+    b = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, threads=2,
+                             mesh=mesh16)
+    assert a.rows == b.rows
+    assert a.reorderings == b.reorderings
 
 
 def test_kron_oracle_equals_discrete_merge(mesh12):
@@ -92,6 +108,16 @@ def test_kron_size_guards(geometry, mesh16):
         fc.kron_3d_oracle(fc.generate_mesh(geometry, 48), 8, 0.5, 1.0, 4)
     with pytest.raises(ValueError):
         fc.kron_3d_oracle(mesh16, 64, 0.5, 1.0, 4)
+
+
+def test_kron_size_guard_survives_mesh_file(tmp_path, mesh64):
+    # read_mesh used to return n_div=0, which skipped the n_div <= 40 guard
+    path = tmp_path / "mesh64.txt"
+    fc.write_mesh(mesh64, path)
+    back = fc.read_mesh(path)
+    assert (back.n_div, back.h) == (64, mesh64.h)
+    with pytest.raises(ValueError, match="n_div <= 40"):
+        fc.kron_3d_oracle(back, 8, 0.5, 1.0, 4)
 
 
 def test_eigenvector_error_decreases_with_eps(mesh16, params):

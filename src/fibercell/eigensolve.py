@@ -25,6 +25,7 @@ logger = logging.getLogger(__name__)
 
 DENSE_ORACLE_MAX_N = 2000
 _CLUSTER_REL_GAP = 1e-10
+_PROBE_ROUNDS = 6
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -115,7 +116,8 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
     runs ARPACK on the solve projected M-orthogonally to the accepted
     vectors until no new eigenvalue appears below the k-th one.
     Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol`` and are
-    pairwise M-orthonormal; otherwise EigenConvergenceError is raised.
+    pairwise M-orthonormal; otherwise, or when the last of the six probe
+    rounds still finds a new eigenvalue, EigenConvergenceError is raised.
     """
     n = K.shape[0]
     if k < 1:
@@ -127,7 +129,7 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
 
     rng = np.random.default_rng(20240817)
     values, vectors = _arpack(K, M, factor.solve, k, tol, np.ones(n), rng)
-    for _ in range(6):
+    for _ in range(_PROBE_ROUNDS):
         extra = min(max(2, k // 2), n - len(values) - 1)
         if extra < 1:
             break
@@ -148,6 +150,10 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
             break
         values += [vals[i] for i in below]
         vectors += [vecs[i] for i in below]
+    else:
+        raise EigenConvergenceError(
+            f"complement probe still found eigenvalues below the k-th "
+            f"({kth:.10g}) after {_PROBE_ROUNDS} rounds")
 
     order = np.argsort(values)[:k]
     values, vectors = _orthonormalize_clusters(

@@ -6,8 +6,10 @@ radially onto it in two passes (close vertices first, then the nearest
 endpoint of every edge the circle still crosses), so that the fiber/matrix
 interface becomes a polygon whose vertices all lie on the circle.  Inscribed
 sliver triangles produced by snapping are removed by deterministic edge
-flips, and the result is rejected unless every triangle keeps a positive
-area and a minimum angle above the quality floor.
+flips: each sweep selects its candidates and the edge adjacency with array
+operations and visits only those few triangles one by one.  The result is
+rejected unless every triangle keeps a positive area and a minimum angle
+above the quality floor.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ _SNAP_FRACTION = 0.25  # pass-1 snap band, relative to grid spacing
 
 
 class MeshQualityError(RuntimeError):
-    """Raised when snapping cannot produce a valid mesh; refine n_div."""
+    """Raised when the snapped and repaired mesh keeps an inverted triangle
+    or one below the minimum-angle floor.  Refining does not always help:
+    for some radii every tested n_div fails."""
 
 
 @dataclass
@@ -138,10 +142,33 @@ def triangle_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return np.column_stack([ang(e2, e0), ang(e0, e1), ang(e1, e2)])
 
 
+def _edge_keys(triangles: np.ndarray, nv: int) -> np.ndarray:
+    """Undirected edge keys ``min * nv + max``, edges (0,1), (1,2), (2,0) of
+    each triangle in row order: entry ``3 * ti + k`` belongs to triangle ti."""
+    t = np.asarray(triangles, dtype=np.int64)
+    u, v = t, np.roll(t, -1, axis=1)
+    return (np.minimum(u, v) * nv + np.maximum(u, v)).ravel()
+
+
 def unique_edges(triangles: np.ndarray) -> np.ndarray:
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
+    """Sorted ``(a, b)`` rows, a < b, one per undirected edge."""
+    nv = int(np.max(triangles)) + 1
+    keys = np.unique(_edge_keys(triangles, nv))
+    return np.column_stack([keys // nv, keys % nv])
+
+
+def _signed_distance(points, center, radius) -> np.ndarray:
+    return np.hypot(points[:, 0] - center[0], points[:, 1] - center[1]) - radius
+
+
+def _node_masks(vertices, center, radius, side):
+    """Masks of the vertices on the circle and on the outer square, both
+    within 1e-12 * side."""
+    tol = 1e-12 * side
+    on_circle = np.abs(_signed_distance(vertices, center, radius)) <= tol
+    on_square = ((np.abs(vertices) <= tol)
+                 | (np.abs(vertices - side) <= tol)).any(axis=1)
+    return on_circle, on_square
 
 
 def mesh_quality(mesh) -> QualityReport:
@@ -187,8 +214,8 @@ def generate_mesh(geometry: CellGeometry, n_div: int,
     ValueError
         If n_div < 8.
     MeshQualityError
-        If snapping leaves an inverted or sub-`min_angle` triangle; the
-        caller must refine.
+        If snapping and repair leave an inverted or sub-`min_angle`
+        triangle; the message names the worst one.
     """
     if n_div < 8:
         raise ValueError(f"n_div must be >= 8, got {n_div}")
@@ -197,34 +224,28 @@ def generate_mesh(geometry: CellGeometry, n_div: int,
     center = np.asarray(geometry.center)
     r = geometry.radius
 
-    vertices = vertices.copy()
     on_circle = _snap_to_circle(vertices, triangles, center, r, h, geometry.side)
     triangles = _repair_triangles(vertices, triangles, on_circle, center, r, h,
                                   min_angle)
 
     areas = signed_areas(vertices, triangles)
-    angles = triangle_angles(vertices, triangles)
+    angles = triangle_angles(vertices, triangles).min(axis=1)
     if areas.min() <= 0.0 or angles.min() < min_angle:
+        worst = int(np.argmin(np.where(areas <= 0.0, -1.0, angles)))
+        x, y = vertices[triangles[worst]].mean(axis=0)
         raise MeshQualityError(
-            f"snapped mesh quality below floor at n_div={n_div}: "
-            f"min area {areas.min():.3e}, min angle {angles.min():.2f} deg; "
-            "refine n_div")
+            f"snapped mesh below the quality floor at n_div={n_div}, radius "
+            f"{r:g}: triangle {worst} at centroid ({x:.6f}, {y:.6f}) has min "
+            f"angle {angles[worst]:.2f} deg (floor {min_angle:g}) and area "
+            f"{areas[worst]:.3e}")
 
     centroids = vertices[triangles].mean(axis=1)
-    dist = np.hypot(centroids[:, 0] - center[0], centroids[:, 1] - center[1])
-    tags = np.where(dist < r, FIBER, MATRIX).astype(np.int64)
-
-    sd = np.hypot(vertices[:, 0] - center[0], vertices[:, 1] - center[1]) - r
-    interface_nodes = np.where(np.abs(sd) <= 1e-12 * geometry.side)[0]
-    tol = 1e-12 * geometry.side
-    on_bnd = ((np.abs(vertices[:, 0]) <= tol)
-              | (np.abs(vertices[:, 0] - geometry.side) <= tol)
-              | (np.abs(vertices[:, 1]) <= tol)
-              | (np.abs(vertices[:, 1] - geometry.side) <= tol))
-    boundary_nodes = np.where(on_bnd)[0]
-
+    tags = np.where(_signed_distance(centroids, center, r) < 0.0,
+                    FIBER, MATRIX).astype(np.int64)
+    interface, boundary = _node_masks(vertices, center, r, geometry.side)
     return TriMesh(vertices=vertices, triangles=triangles, tags=tags,
-                   interface_nodes=interface_nodes, boundary_nodes=boundary_nodes,
+                   interface_nodes=np.flatnonzero(interface),
+                   boundary_nodes=np.flatnonzero(boundary),
                    geometry=geometry, h=h, n_div=n_div)
 
 
@@ -237,27 +258,20 @@ def _snap_to_circle(vertices, triangles, center, r, h, side) -> np.ndarray:
     Outer-boundary vertices never move.  Mutates ``vertices``; returns the
     on-circle mask.
     """
-    tol = 1e-12 * side
-    locked = ((vertices[:, 0] <= tol) | (vertices[:, 0] >= side - tol)
-              | (vertices[:, 1] <= tol) | (vertices[:, 1] >= side - tol))
+    locked = _node_masks(vertices, center, r, side)[1]
 
     def project(idx):
-        d = np.hypot(*(vertices[idx] - center))
-        vertices[idx] = center + (vertices[idx] - center) * (r / d)
+        d = vertices[idx] - center
+        vertices[idx] = center + d * (r / np.hypot(d[..., 0], d[..., 1]))[..., None]
 
-    dist = np.hypot(vertices[:, 0] - center[0], vertices[:, 1] - center[1])
-    sd = dist - r
-    on_circle = np.zeros(len(vertices), dtype=bool)
-
-    pass1 = np.where((np.abs(sd) <= _SNAP_FRACTION * h) & ~locked)[0]
-    for idx in pass1:
-        project(idx)
-        on_circle[idx] = True
+    on_circle = (np.abs(_signed_distance(vertices, center, r))
+                 <= _SNAP_FRACTION * h) & ~locked
+    project(np.flatnonzero(on_circle))
 
     # candidate edges: circle can only cross edges whose endpoints are within
     # one edge length of it
     edges = unique_edges(triangles)
-    sd = np.hypot(vertices[:, 0] - center[0], vertices[:, 1] - center[1]) - r
+    sd = _signed_distance(vertices, center, r)
     near = np.abs(sd) <= 1.5 * h
     cand = edges[near[edges[:, 0]] & near[edges[:, 1]]]
     for a, b in cand:
@@ -290,21 +304,6 @@ def _snap_to_circle(vertices, triangles, center, r, h, side) -> np.ndarray:
     return on_circle
 
 
-def _tri_min_angle(vertices, tri) -> float:
-    p = vertices[list(tri)]
-    e0, e1, e2 = p[1] - p[0], p[2] - p[1], p[0] - p[2]
-    out = []
-    for u, v in ((e2, e0), (e0, e1), (e1, e2)):
-        c = -(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        out.append(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-    return min(out)
-
-
-def _sarea(vertices, i, j, k) -> float:
-    return 0.5 * ((vertices[j][0] - vertices[i][0]) * (vertices[k][1] - vertices[i][1])
-                  - (vertices[j][1] - vertices[i][1]) * (vertices[k][0] - vertices[i][0]))
-
-
 def _repair_triangles(vertices, triangles, on_circle, center, r, h,
                       min_angle, max_sweeps=12):
     """Edge-flip repair of snapping artifacts.
@@ -315,72 +314,64 @@ def _repair_triangles(vertices, triangles, on_circle, center, r, h,
     moving any vertex.  Chords that genuinely separate fiber from matrix
     (both endpoints on the circle, neighbors strictly on opposite sides) are
     never flipped, so interface conformity is preserved.
-    """
-    tris = [tuple(t) for t in triangles]
 
-    def sdn(i):
-        return np.hypot(*(vertices[i] - center)) - r
+    Each sweep takes the candidates in ascending index order and looks up
+    edge partners in the adjacency of the triangles as they stood at the
+    start of the sweep; a triangle flipped in the sweep is not touched again.
+    """
+    tris = np.array(triangles, dtype=np.int64)
+    nv = len(vertices)
+    sdn = _signed_distance(vertices, center, r)
+
+    def bad(t):
+        return on_circle[t].all(axis=1) | (signed_areas(vertices, t) <= 0.0)
 
     for _ in range(max_sweeps):
-        candidates = [ti for ti, t in enumerate(tris)
-                      if on_circle[list(t)].all()
-                      or _sarea(vertices, *t) <= 0.0
-                      or _tri_min_angle(vertices, t) < min_angle]
-        if not candidates:
+        candidates = np.flatnonzero(
+            bad(tris) | (triangle_angles(vertices, tris).min(axis=1) < min_angle))
+        if not candidates.size:
             break
-        edge_map = {}
-        for ti, t in enumerate(tris):
-            for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                edge_map.setdefault((min(u, v), max(u, v)), []).append(ti)
+        keys = _edge_keys(tris, nv)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys, owner = keys[order], order // 3
         touched = set()
-        flips = 0
-        for ti in candidates:
+        for ti in candidates.tolist():
             if ti in touched:
                 continue
-            t = tris[ti]
+            t = tris[ti].tolist()
             by_length = sorted(
                 ((np.linalg.norm(vertices[t[k]] - vertices[t[(k + 1) % 3]]),
                   (min(t[k], t[(k + 1) % 3]), max(t[k], t[(k + 1) % 3])))
                  for k in range(3)), reverse=True)
-            for _, e in by_length:
-                a, b = e
-                partners = [x for x in edge_map[e] if x != ti]
-                if not partners:
+            for _, (a, b) in by_length:
+                lo, hi = np.searchsorted(sorted_keys, [a * nv + b, a * nv + b + 1])
+                partners = [x for x in owner[lo:hi].tolist() if x != ti]
+                if not partners or partners[0] in touched:
                     continue
                 tj = partners[0]
-                if tj in touched:
-                    continue
-                p = [x for x in tris[ti] if x not in e][0]
-                q = [x for x in tris[tj] if x not in e][0]
+                p = [x for x in t if x not in (a, b)][0]
+                q = [x for x in tris[tj].tolist() if x not in (a, b)][0]
                 if p == q:
                     continue
                 if on_circle[a] and on_circle[b]:
-                    sp, sq = sdn(p), sdn(q)
+                    sp, sq = sdn[p], sdn[q]
                     if abs(sp) > 1e-9 * h and abs(sq) > 1e-9 * h and sp * sq < 0:
                         continue  # true interface chord
-                t1 = (p, q, a) if _sarea(vertices, p, q, a) > 0 else (q, p, a)
-                t2 = (p, q, b) if _sarea(vertices, p, q, b) > 0 else (q, p, b)
-                if _sarea(vertices, *t1) <= 1e-16 or _sarea(vertices, *t2) <= 1e-16:
+                s = signed_areas(vertices, np.array([[p, q, a], [p, q, b]]))
+                new = np.array([(p, q, x) if sx > 0 else (q, p, x)
+                                for x, sx in zip((a, b), s)])
+                if ((signed_areas(vertices, new) <= 1e-16).any()
+                        or on_circle[new].all(axis=1).any()):
                     continue
-                if on_circle[list(t1)].all() or on_circle[list(t2)].all():
-                    continue
-                cur = min(_tri_min_angle(vertices, tris[ti]),
-                          _tri_min_angle(vertices, tris[tj]))
-                if (_sarea(vertices, *tris[ti]) <= 0.0
-                        or _sarea(vertices, *tris[tj]) <= 0.0
-                        or on_circle[list(tris[ti])].all()
-                        or on_circle[list(tris[tj])].all()):
-                    cur = -1.0
-                new = min(_tri_min_angle(vertices, t1), _tri_min_angle(vertices, t2))
-                if new > cur + 1e-9:
-                    tris[ti] = t1
-                    tris[tj] = t2
+                old = tris[[ti, tj]]
+                cur = -1.0 if bad(old).any() else triangle_angles(vertices, old).min()
+                if triangle_angles(vertices, new).min() > cur + 1e-9:
+                    tris[[ti, tj]] = new
                     touched.update((ti, tj))
-                    flips += 1
                     break
-        if flips == 0:
+        if not touched:
             break
-    return np.array(tris, dtype=np.int64)
+    return tris
 
 
 def write_mesh(mesh: TriMesh, path) -> None:
@@ -413,18 +404,10 @@ def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
     side = vertices[:, 0].max() - xmin
     n_div = int(np.count_nonzero(vertices[:, 1] - ymin <= 1e-12 * side)) - 1
     h = side / n_div
-    interface_nodes = np.array([], dtype=np.int64)
-    boundary_nodes = np.array([], dtype=np.int64)
+    interface_nodes = boundary_nodes = np.array([], dtype=np.int64)
     if geometry is not None:
-        c = np.asarray(geometry.center)
-        sd = np.hypot(vertices[:, 0] - c[0], vertices[:, 1] - c[1]) - geometry.radius
-        interface_nodes = np.where(np.abs(sd) <= 1e-12 * geometry.side)[0]
-        tol = 1e-12 * geometry.side
-        on_bnd = ((np.abs(vertices[:, 0]) <= tol)
-                  | (np.abs(vertices[:, 0] - geometry.side) <= tol)
-                  | (np.abs(vertices[:, 1]) <= tol)
-                  | (np.abs(vertices[:, 1] - geometry.side) <= tol))
-        boundary_nodes = np.where(on_bnd)[0]
+        interface_nodes, boundary_nodes = map(np.flatnonzero, _node_masks(
+            vertices, geometry.center, geometry.radius, geometry.side))
     return TriMesh(vertices=vertices, triangles=triangles, tags=tags,
                    interface_nodes=interface_nodes, boundary_nodes=boundary_nodes,
                    geometry=geometry, h=h, n_div=n_div)

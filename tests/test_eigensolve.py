@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import fibercell as fc
 from fibercell import NotSPDError
+from fibercell.eigensolve import EigenConvergenceError
 
 
 def test_identity_factor_has_unit_pivots():
@@ -108,6 +109,15 @@ def test_degenerate_multiplicity_recovered():
     M = sp.identity(4, format="csr")
     pairs = fc.smallest_eigenpairs(K, M, 3)
     assert [p.value for p in pairs] == pytest.approx([1.0, 2.0, 2.0], rel=1e-12)
+
+
+def test_probe_exhaustion_raises():
+    # the smallest eigenvalue has 40 copies; k=4 lets each probe round take
+    # only 2 of them, so the sixth round still finds copies below the k-th
+    K = sp.diags(np.r_[np.ones(40), np.arange(2.0, 22.0)]).tocsr()
+    M = sp.identity(60, format="csr")
+    with pytest.raises(EigenConvergenceError, match="after 6 rounds"):
+        fc.smallest_eigenpairs(K, M, 4)
 
 
 def test_k_out_of_range(mesh16):

@@ -9,6 +9,31 @@ from fibercell import FIBER, MATRIX
 from fibercell.mesh import signed_areas, structured_mesh, unique_edges
 
 
+# content_hash of reference meshes centred at (0.5, 0.5): any change to the
+# grid, the snapping or the flip decisions that moves a byte shows here
+GOLDEN_HASHES = {
+    (0.2496, 16): "f25a04762943cbae3318a137f0b12eb34ae7adcbaf9a1ff25c5a042722dc8554",
+    (0.2496, 32): "ea933c90788381116c12c5ac37ccc8fbc58b69e292c1d26e8d9c4f93bb74cf33",
+    (0.2496, 64): "52e4fae29f1a7533f5eb8e072bd08eb639bfd705de1bb851c95ed6412959df2e",
+    (0.2496, 128): "11a8ef4670c13bc00e92128d9cfc26b06ce2c3e1f37d532c1f9edb334033497d",
+    (0.25, 16): "4c5b3dbf3df48dadd5e9de249eb08a8e06bbf4c7beb4008b439d5f1ee9d6920a",
+    (0.25, 32): "ac180e55de01a4ccfad7ac716ba1527eb93394b78630834ec8a5883074b0f9fd",
+    (0.25, 64): "34486959c2718d7cdb47641563c99b02e8ff3ebedad9f43aedab68462b25bb28",
+    (0.25, 128): "8640a4bd2e1ac572fc8a7608bcdf2d5fde9f7744a5747b12dffb8b07322981fa",
+    (0.2504, 16): "4d23a6059f0e410edc99b09d2f09989f5b494bfa0010b5c0cb4d33e12d378a68",
+    (0.2504, 32): "c12cd1c2564adc390027dac4a40e5d7eb056712cc422d3a9238e4a845f91aef9",
+    (0.2504, 64): "f3ab004b3862a682490912730de26cd5aebda614f6b8c7de1bfbb61ebeaabe7a",
+    (0.2504, 128): "e05cd3917c1ef26d79a0d5418737826927a961db4da6fdb76bbcffd54719e98b",
+}
+
+
+@pytest.mark.parametrize("radius,n_div", sorted(GOLDEN_HASHES))
+def test_golden_mesh_hashes(radius, n_div):
+    geometry = fc.build_cell_geometry(center=(0.5, 0.5), radius=radius)
+    mesh = fc.generate_mesh(geometry, n_div)
+    assert mesh.content_hash() == GOLDEN_HASHES[radius, n_div]
+
+
 def test_unsnapped_uniform_mesh_min_angle_45():
     verts, tris = structured_mesh(1.0, 8)
     q = fc.mesh_quality((verts, tris))
@@ -26,6 +51,14 @@ def test_snapped_mesh_respects_quality_floor(geometry):
 def test_below_minimum_resolution_rejected(geometry):
     with pytest.raises(ValueError):
         fc.generate_mesh(geometry, 4)
+
+
+def test_quality_error_names_worst_triangle():
+    # r = 0.252 fails at n_div 32, 64 and 128, so refining is no remedy
+    geometry = fc.build_cell_geometry(radius=0.252)
+    with pytest.raises(fc.MeshQualityError,
+                       match=r"centroid \(0\.394930, 0\.721036\) has min angle 13\.18"):
+        fc.generate_mesh(geometry, 32)
 
 
 def test_empty_mesh_quality_rejected():
@@ -116,6 +149,9 @@ def test_unique_edges_shape(mesh16):
     edges = unique_edges(mesh16.triangles)
     assert edges.shape[1] == 2
     assert np.all(edges[:, 0] < edges[:, 1])
+    t = mesh16.triangles
+    rows = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    assert np.array_equal(edges, np.unique(rows, axis=0))
 
 
 def test_quality_h_max(geometry, mesh16):

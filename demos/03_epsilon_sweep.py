@@ -5,7 +5,7 @@ mode spectrum, the min-max bound mu1 + eps^2 (k pi/L)^2, the gap to the
 limit eigenvalue of the same rank, and the two eigenvector-structure
 errors (fiber field vs (lam u0 + 1) v_j, matrix field vs v_j).
 
-Takes about ten seconds on two cores; writes convergence.csv / convergence.json.
+Takes a few seconds on one core; writes convergence.csv / convergence.json.
 """
 
 import time
@@ -17,7 +17,7 @@ eps_list = [0.4, 0.2, 0.1, 0.05]
 
 t0 = time.time()
 report = fc.convergence_sweep(geometry, eps_list, n_div=64, j_max=8,
-                              k_total=8, threads=4)
+                              k_total=8)
 print(f"sweep finished in {time.time() - t0:.1f} s")
 print(f"mesh mu1_h = {report.mu1_discrete:.6f}, exact {report.mu1_exact:.6f}, "
       f"C_h = {report.c_h:.4f}")

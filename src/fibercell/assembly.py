@@ -2,9 +2,10 @@
 
 Element matrices use the exact closed P1 formulas (no quadrature):
 stiffness entries (b_i b_j + c_i c_j) / (4A) from the barycentric gradient
-components, mass A/12 * [[2,1,1],[1,2,1],[1,1,2]].  Per-element weights are
-chosen by the fiber/matrix tag, which is what encodes the high-contrast
-coefficients of the mode problem.
+components, mass A/12 * [[2,1,1],[1,2,1],[1,1,2]].  ``CellOperators``
+scatters them once per mesh into fiber and matrix parts on one sparsity
+pattern; material weights, which encode the high-contrast coefficients of
+the mode problem, then scale and add those parts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import FIBER, TriMesh, signed_areas
+from .mesh import FIBER, TriMesh
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class ModePencil:
 
 def _element_geometry(mesh: TriMesh):
     p = mesh.vertices[mesh.triangles]
-    areas = signed_areas(mesh.vertices, mesh.triangles)
+    areas = mesh.areas()
     if np.any(areas <= 0.0):
         raise ValueError("mesh contains a degenerate or inverted triangle")
     # b_i = y_j - y_k, c_i = x_k - x_j, cyclic
@@ -45,44 +46,91 @@ def _element_geometry(mesh: TriMesh):
     return areas, b, c
 
 
-def _material_weights(mesh: TriMesh, w_fiber: float, w_matrix: float) -> np.ndarray:
+def _check_weights(w_fiber: float, w_matrix: float) -> None:
     if w_fiber <= 0 or w_matrix <= 0:
         raise ValueError("material weights must be positive")
-    return np.where(mesh.tags == FIBER, float(w_fiber), float(w_matrix))
 
 
-def _scatter(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
-    n = len(mesh.vertices)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    return out
+class CellOperators:
+    """Unit-weight stiffness and mass of the fiber and of the matrix
+    triangles, K_F, K_M, M_F, M_M, on one shared CSR pattern.
+
+    Any material-weighted operator is then a sum of ``data`` arrays on that
+    pattern; a mode pencil is
+
+        K = K_F + eps^-2 K_M + gamma (eps^2 M_F + M_M),   M = M_F + M_M.
+
+    Build one set per mesh and pass it to every pencil of that mesh.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        areas, b, c = _element_geometry(mesh)
+        n = len(mesh.vertices)
+        tri = mesh.triangles
+        # sorted unique row * n + col keys are the CSR order of the pattern;
+        # ``slot`` sends every local entry to its place in ``data``
+        keys, slot = np.unique(np.repeat(tri, 3, axis=1).ravel() * n
+                               + np.tile(tri, (1, 3)).ravel(), return_inverse=True)
+        self.mesh = mesh
+        self.shape = (n, n)
+        # every operator shares these two arrays, so nothing may sort them
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        fiber = np.repeat(mesh.tags == FIBER, 9)
+        nnz = len(keys)
+
+        def split(local):
+            local = local.ravel()
+            return (np.bincount(slot, np.where(fiber, local, 0.0), nnz),
+                    np.bincount(slot, np.where(fiber, 0.0, local), nnz))
+
+        self.stiff_fiber, self.stiff_matrix = split(
+            (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+            / (4.0 * areas)[:, None, None])
+        template = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        self.mass_fiber, self.mass_matrix = split(areas[:, None, None] * template)
+
+    def _csr(self, data: np.ndarray) -> sp.csr_matrix:
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def stiffness(self, w_fiber: float, w_matrix: float) -> sp.csr_matrix:
+        """w_F K_F + w_M K_M."""
+        _check_weights(w_fiber, w_matrix)
+        return self._csr(w_fiber * self.stiff_fiber + w_matrix * self.stiff_matrix)
+
+    def mass(self, w_fiber: float, w_matrix: float) -> sp.csr_matrix:
+        """w_F M_F + w_M M_M."""
+        _check_weights(w_fiber, w_matrix)
+        return self._csr(w_fiber * self.mass_fiber + w_matrix * self.mass_matrix)
+
+    def pencil(self, eps: float, gamma: float) -> "ModePencil":
+        """Pencil of one vertical mode; see ``assemble_mode_pencil``."""
+        if not (0.0 < eps <= 1.0):
+            raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        if gamma <= 0.0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        K = self._csr(self.stiff_fiber + eps ** -2 * self.stiff_matrix
+                      + gamma * (eps ** 2 * self.mass_fiber + self.mass_matrix))
+        M = self._csr(self.mass_fiber + self.mass_matrix)
+        return ModePencil(K=K, M=M, eps=float(eps), gamma=float(gamma),
+                          mesh=self.mesh)
 
 
 def assemble_weighted_stiffness(mesh: TriMesh, w_fiber: float,
                                 w_matrix: float) -> sp.csr_matrix:
     """sum_T w(tag_T) int_T grad(phi_i).grad(phi_j)."""
-    areas, b, c = _element_geometry(mesh)
-    w = _material_weights(mesh, w_fiber, w_matrix)
-    coef = (w / (4.0 * areas))[:, None, None]
-    local = coef * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    return _scatter(mesh, local)
+    return CellOperators(mesh).stiffness(w_fiber, w_matrix)
 
 
 def assemble_weighted_mass(mesh: TriMesh, w_fiber: float,
                            w_matrix: float) -> sp.csr_matrix:
     """sum_T w(tag_T) int_T phi_i phi_j with the exact P1 mass template."""
-    areas, _, _ = _element_geometry(mesh)
-    w = _material_weights(mesh, w_fiber, w_matrix)
-    template = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = (w * areas)[:, None, None] * template[None, :, :]
-    return _scatter(mesh, local)
+    return CellOperators(mesh).mass(w_fiber, w_matrix)
 
 
-def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float) -> ModePencil:
+def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
+                         operators: CellOperators = None) -> ModePencil:
     """Pencil of the 2D problem obtained by separating one vertical mode.
 
     Parameters
@@ -92,15 +140,12 @@ def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float) -> ModePencil:
     gamma : float > 0
         Vertical eigenvalue (j pi / L)^2 of the separated mode; gamma <= 0
         would lose positive definiteness under the natural lateral boundary.
+    operators : CellOperators of ``mesh``, optional
+        Built here, and dropped after the call, when not given.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    K = (assemble_weighted_stiffness(mesh, 1.0, eps ** -2)
-         + gamma * assemble_weighted_mass(mesh, eps ** 2, 1.0)).tocsr()
-    M = assemble_weighted_mass(mesh, 1.0, 1.0)
-    return ModePencil(K=K, M=M, eps=float(eps), gamma=float(gamma), mesh=mesh)
+    if operators is None:
+        operators = CellOperators(mesh)
+    return operators.pencil(eps, gamma)
 
 
 def assemble_dirichlet_disk(mesh: TriMesh):
@@ -128,10 +173,9 @@ def assemble_dirichlet_disk(mesh: TriMesh):
                   interface_nodes=mesh.interface_nodes,
                   boundary_nodes=mesh.boundary_nodes,
                   geometry=mesh.geometry, h=mesh.h)
-    K = assemble_weighted_stiffness(sub, 1.0, 1.0)
-    M = assemble_weighted_mass(sub, 1.0, 1.0)
-    K_D = K[interior][:, interior].tocsr()
-    M_D = M[interior][:, interior].tocsr()
+    ops = CellOperators(sub)
+    K_D = ops.stiffness(1.0, 1.0)[interior][:, interior].tocsr()
+    M_D = ops.mass(1.0, 1.0)[interior][:, interior].tocsr()
     return K_D, M_D, interior
 
 

@@ -2,7 +2,8 @@
 
 Commands: ``mesh | limit-spectrum | eps-spectrum | converge | validate``.
 All numeric parameters come from the JSON config (``--config``); flags only
-pick the command, output directory and thread count.  Exit codes: 0
+pick the command and the output directory.  ``--threads`` is accepted and
+ignored: ``converge`` runs its eps values one after another.  Exit codes: 0
 success, 1 compute failure, 2 usage error.  Failures emit one JSON object
 on stderr so scripted callers can parse them.
 """
@@ -16,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .assembly import CellOperators
 from .config import ConfigError, RunConfig, parse_config
 from .eigensolve import dense_eigen_oracle, smallest_eigenpairs
 from .limit import (DispersionParams, limit_eigenvalues, mean_u0_closed,
@@ -35,7 +37,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="ignored; kept so that existing scripts still run")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -46,7 +49,7 @@ def main(argv=None) -> int:
         if args.out:
             config.out_dir = args.out
         os.makedirs(config.out_dir, exist_ok=True)
-        return run_command(args.command, config, threads=max(1, args.threads))
+        return run_command(args.command, config)
     except ConfigError as exc:
         _error_json("config", str(exc))
         return 2
@@ -56,6 +59,8 @@ def main(argv=None) -> int:
 
 
 def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
+    """Run one command on ``config``.  ``threads`` is accepted for existing
+    callers and ignored."""
     if name not in COMMANDS:
         raise ConfigError(f"unknown command {name!r}")
     out = config.out_dir
@@ -99,7 +104,7 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
         report = convergence_sweep(geometry, config.eps_list, config.n_div,
                                    config.j_max, config.k_total,
                                    n_terms=config.n_terms,
-                                   eig_tol=config.eig_tol, threads=threads)
+                                   eig_tol=config.eig_tol)
         report.write_csv(os.path.join(out, "convergence.csv"), tag)
         report.write_json(os.path.join(out, "convergence.json"), tag)
         return 0
@@ -130,16 +135,17 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
 
     # Kronecker 3D oracle vs discrete mode merge on a coarse mesh
     coarse = generate_mesh(geometry, 12)
+    operators = CellOperators(coarse)
     for eps in (1.0, 0.2):
-        v3 = kron_3d_oracle(coarse, 8, eps, geometry.height, 8)
-        vm = discrete_mode_merge(coarse, 8, eps, geometry.height, 8)
+        v3 = kron_3d_oracle(coarse, 8, eps, geometry.height, 8, operators=operators)
+        vm = discrete_mode_merge(coarse, 8, eps, geometry.height, 8,
+                                 operators=operators)
         rel = np.max(np.abs(v3 - vm) / np.abs(vm))
         if rel > 1e-9:
             failures.append(f"kron/merge mismatch {rel:.2e} at eps={eps}")
 
     # ARPACK shift-invert with complement probe vs dense on a coarse pencil
-    from .assembly import assemble_mode_pencil
-    pencil = assemble_mode_pencil(coarse, 0.3, (np.pi / geometry.height) ** 2)
+    pencil = operators.pencil(0.3, (np.pi / geometry.height) ** 2)
     if pencil.K.shape[0] <= 2000:
         dense_vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
         krylov = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)

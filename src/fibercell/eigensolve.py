@@ -81,10 +81,11 @@ def factorize_spd(K: sp.spmatrix) -> SPDFactor:
     return SPDFactor(K)
 
 
-def dense_eigen_oracle(K, M):
+def dense_eigen_oracle(K, M, count: int = None):
     """Full spectrum of the pencil by dense Cholesky reduction plus the
     symmetric QR algorithm (LAPACK).  Brute-force reference for any pencil
-    with at most ``DENSE_ORACLE_MAX_N`` unknowns.
+    with at most ``DENSE_ORACLE_MAX_N`` unknowns.  With ``count``, only the
+    ``count`` smallest pairs are computed (LAPACK's subset solver).
 
     Returns
     -------
@@ -99,7 +100,8 @@ def dense_eigen_oracle(K, M):
         np.linalg.cholesky(Md)
     except np.linalg.LinAlgError as exc:
         raise NotSPDError("mass matrix is not SPD") from exc
-    values, vectors = scipy.linalg.eigh(Kd, Md)
+    subset = None if count is None else [0, min(count, n) - 1]
+    values, vectors = scipy.linalg.eigh(Kd, Md, subset_by_index=subset)
     return values, vectors
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j0, bessel_j1, bessel_j0_zero
+from .bessel import bessel_j0, bessel_j1, bessel_j0_zero, bessel_j0_zeros
 from .geometry import CellGeometry
 
 _INTERVAL_MARGIN = 1e-10  # relative margin keeping bisection off 0 and mu_1
@@ -86,12 +86,8 @@ def disk_radial_eigendata(r: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one mode")
-    out = np.empty((n, 2))
-    for i in range(1, n + 1):
-        z = bessel_j0_zero(i)
-        out[i - 1, 0] = (z / r) ** 2
-        out[i - 1, 1] = 4.0 * math.pi * r * r / (z * z)
-    return out
+    z = np.array(bessel_j0_zeros(n))
+    return np.column_stack([(z / r) ** 2, 4.0 * math.pi * r * r / (z * z)])
 
 
 def mean_u0_series(lam: float, params: DispersionParams):
@@ -132,7 +128,8 @@ def u0_eval(lam: float, rho, r: float):
     """Fiber profile u0(rho) = (J0(sqrt(lam) rho)/J0(sqrt(lam) r) - 1)/lam,
     the radial solution of -Lap u0 = lam u0 + 1 vanishing at rho = r.
 
-    Accepts scalar or array rho in [0, r].
+    Accepts scalar or array rho in [0, r].  J0 is evaluated once on the
+    whole array and once at r by the same function, so u0(r) = 0 exactly.
     """
     mu1 = (bessel_j0_zero(1) / r) ** 2
     _check_lambda(lam, mu1)
@@ -147,9 +144,9 @@ def u0_eval(lam: float, rho, r: float):
     else:
         s = math.sqrt(lam)
         j0r = bessel_j0(s * r)
-        j0v = np.vectorize(bessel_j0)(s * rho_arr)
+        j0v = bessel_j0(s * rho_arr)
         out = (j0v / j0r - 1.0) / lam
-    return out if out.ndim else float(out)
+    return out if np.ndim(out) else float(out)
 
 
 def delta(lam: float, params: DispersionParams) -> float:

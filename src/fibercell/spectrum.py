@@ -15,20 +15,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import __version__ as _pkg_version
-from .assembly import (assemble_1d, assemble_dirichlet_disk, assemble_mode_pencil,
-                       assemble_weighted_mass, assemble_weighted_stiffness)
+from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
+                       assemble_mode_pencil)
 from .eigensolve import (EigenPair, dense_eigen_oracle, smallest_eigenpairs,
                          DENSE_ORACLE_MAX_N)
 from .geometry import CellGeometry
 from .limit import (DispersionParams, LimitRoot, limit_eigenvalues, u0_eval)
-from .mesh import FIBER, MATRIX, TriMesh, generate_mesh, signed_areas
+from .mesh import FIBER, MATRIX, TriMesh, generate_mesh
 
 
 @dataclass
@@ -123,18 +122,20 @@ class ConvergenceReport:
 
 
 def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
-                  tol: float = 1e-9) -> ModeSpectrum:
-    """k smallest eigenpairs of the pencil of vertical mode j."""
+                  tol: float = 1e-9, operators: CellOperators = None) -> ModeSpectrum:
+    """k smallest eigenpairs of the pencil of vertical mode j, assembled
+    from ``operators`` (the mesh's CellOperators, built here if None)."""
     if j < 1:
         raise ValueError("mode index j must be >= 1")
     gamma = (j * math.pi / L) ** 2
-    pencil = assemble_mode_pencil(mesh, eps, gamma)
+    pencil = assemble_mode_pencil(mesh, eps, gamma, operators=operators)
     pairs = smallest_eigenpairs(pencil.K, pencil.M, k, tol=tol)
     return ModeSpectrum(eps=eps, j=j, gamma=gamma, pairs=pairs, mesh=mesh)
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, j_max: int, k_total: int,
-                    L: float = None, tol: float = 1e-9) -> list[MergedEigenvalue]:
+                    L: float = None, tol: float = 1e-9,
+                    operators: CellOperators = None) -> list[MergedEigenvalue]:
     """Globally sorted merge of the per-mode spectra, solved lazily.
 
     Ties break by (value, j).  Mode pencils increase with j, so
@@ -142,16 +143,19 @@ def merged_spectrum(mesh: TriMesh, eps: float, j_max: int, k_total: int,
     mode j-1 placed in the running top k_total, and the merge is complete
     once a mode places none or its smallest eigenvalue reaches the k-th
     merged value.  Raises if mode j_max is reached without that proof.
+    Every mode pencil comes from ``operators`` (built here if None).
     """
     if L is None:
         L = mesh.geometry.height
     if j_max < 1 or k_total < 1:
         raise ValueError("j_max and k_total must be >= 1")
+    if operators is None:
+        operators = CellOperators(mesh)
 
     merged: list[MergedEigenvalue] = []
     need = k_total
     for j in range(1, j_max + 1):
-        spec = mode_spectrum(mesh, eps, j, L, need, tol=tol)
+        spec = mode_spectrum(mesh, eps, j, L, need, tol=tol, operators=operators)
         merged += [MergedEigenvalue(value=pair.value, j=j, rank=rank, pair=pair)
                    for rank, pair in enumerate(spec.pairs, start=1)]
         merged.sort(key=lambda e: (e.value, e.j, e.rank))
@@ -170,24 +174,26 @@ def merged_spectrum(mesh: TriMesh, eps: float, j_max: int, k_total: int,
 
 
 def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, L: float,
-                   k: int, tol: float = 1e-9) -> np.ndarray:
+                   k: int, tol: float = 1e-9,
+                   operators: CellOperators = None) -> np.ndarray:
     """k smallest eigenvalues of the unseparated tensor-product pencil
 
-        K3 = K2(1, eps^-2) x M1 + M2(eps^2, 1) x K1,   M3 = M2(1,1) x M1.
+        K3 = K2(1, eps^-2) x M1 + M2(eps^2, 1) x K1,   M3 = M2(1,1) x M1,
 
-    Dense when the product size allows it, the ARPACK shift-invert solve of
+    with the 2D factors from ``operators`` (built here if None).  Dense
+    when the product size allows it, the ARPACK shift-invert solve of
     ``smallest_eigenpairs`` otherwise.
     """
     if mesh.n_div and mesh.n_div > 40:
         raise ValueError("3D oracle is restricted to coarse meshes (n_div <= 40)")
     if n1d > 32:
         raise ValueError("3D oracle is restricted to n1d <= 32")
+    if operators is None:
+        operators = CellOperators(mesh)
     K1, M1 = assemble_1d(n1d, L)
-    K2s = assemble_weighted_stiffness(mesh, 1.0, eps ** -2)
-    M2g = assemble_weighted_mass(mesh, eps ** 2, 1.0)
-    M2 = assemble_weighted_mass(mesh, 1.0, 1.0)
-    K3 = (sp.kron(K2s, M1) + sp.kron(M2g, K1)).tocsr()
-    M3 = sp.kron(M2, M1).tocsr()
+    K3 = (sp.kron(operators.stiffness(1.0, eps ** -2), M1)
+          + sp.kron(operators.mass(eps ** 2, 1.0), K1)).tocsr()
+    M3 = sp.kron(operators.mass(1.0, 1.0), M1).tocsr()
     n = K3.shape[0]
     if n <= DENSE_ORACLE_MAX_N:
         values, _ = dense_eigen_oracle(K3, M3)
@@ -197,19 +203,23 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, L: float,
 
 
 def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, L: float,
-                        k: int, tol: float = 1e-9) -> np.ndarray:
+                        k: int, tol: float = 1e-9,
+                        operators: CellOperators = None) -> np.ndarray:
     """Merge of 2D pencil spectra over the *discrete* vertical eigenvalues
-    of (K1, M1); equals the 3D tensor spectrum exactly in exact arithmetic."""
+    of (K1, M1); equals the 3D tensor spectrum exactly in exact arithmetic.
+    Mode pencils come from ``operators`` (built here if None)."""
+    if operators is None:
+        operators = CellOperators(mesh)
     K1, M1 = assemble_1d(n1d, L)
     gammas, _ = dense_eigen_oracle(K1, M1)
     per_mode = min(k, len(mesh.vertices))
     values = []
     for gamma in gammas:
-        pencil = assemble_mode_pencil(mesh, eps, float(gamma))
+        pencil = assemble_mode_pencil(mesh, eps, float(gamma), operators=operators)
         n = pencil.K.shape[0]
         if n <= DENSE_ORACLE_MAX_N:
-            vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
-            values.extend(vals[:per_mode])
+            vals, _ = dense_eigen_oracle(pencil.K, pencil.M, count=per_mode)
+            values.extend(vals)
         else:
             pairs = smallest_eigenpairs(pencil.K, pencil.M, per_mode, tol=tol)
             values.extend(p.value for p in pairs)
@@ -217,51 +227,65 @@ def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, L: float,
     return np.array(values[:k])
 
 
+@dataclass(frozen=True)
+class MidpointRule:
+    """Edge-midpoint quadrature of a mesh (exact for quadratics), split by
+    material.  Each point is the midpoint of one triangle edge, given by the
+    vertex indices of the edge's two ends and weighted by a third of the
+    triangle's area; ``fiber_rho`` is the distance of each fiber point from
+    the fiber centre, clipped to [0, r]."""
+
+    fiber_ends: np.ndarray       # (2, n_fiber_points)
+    fiber_weights: np.ndarray
+    fiber_rho: np.ndarray
+    matrix_ends: np.ndarray      # (2, n_matrix_points)
+    matrix_weights: np.ndarray
+
+
+def midpoint_rule(mesh: TriMesh) -> MidpointRule:
+    """The edge-midpoint rule of ``mesh``; build it once per mesh."""
+    tri = mesh.triangles
+    ends = np.stack([tri, np.roll(tri, -1, axis=1)])      # (2, nt, 3)
+    weights = np.repeat(mesh.areas()[:, None] / 3.0, 3, axis=1)
+    fiber = mesh.tags == FIBER
+    matrix = mesh.tags == MATRIX
+    geometry = mesh.geometry
+    mids = 0.5 * (mesh.vertices[ends[0][fiber]] + mesh.vertices[ends[1][fiber]])
+    rho = np.hypot(mids[..., 0] - geometry.center[0], mids[..., 1] - geometry.center[1])
+    return MidpointRule(fiber_ends=ends[:, fiber].reshape(2, -1),
+                        fiber_weights=weights[fiber].ravel(),
+                        fiber_rho=np.clip(rho, 0.0, geometry.radius).ravel(),
+                        matrix_ends=ends[:, matrix].reshape(2, -1),
+                        matrix_weights=weights[matrix].ravel())
+
+
 def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh,
-                      L: float = None):
+                      L: float = None, rule: MidpointRule = None):
     """L2 errors of the separated FEM field against the limit eigenvector.
 
     The FEM pair is scale/sign-aligned to the limit field by the full-cell
     L2 inner product; the vertical factors sin(j pi x3/L) are shared and
     normalized, so both errors reduce to 2D integrals evaluated with the
-    edge-midpoint rule (exact for quadratics):
+    edge-midpoint rule ``rule`` of ``mesh`` (built here if None):
 
     * e_F: relative L2(fiber) error of alpha*w against lam*u0 + 1,
     * e_M: relative L2(matrix) error of alpha*w against the constant 1.
     """
     if root.j != j:
         raise ValueError(f"mode label mismatch: pair from mode {j}, root mode {root.j}")
-    geometry = mesh.geometry
-    center = np.asarray(geometry.center)
-    r = geometry.radius
+    if rule is None:
+        rule = midpoint_rule(mesh)
     lam = root.lam
-
-    areas = signed_areas(mesh.vertices, mesh.triangles)
     w = pair.vector
+    w_f = 0.5 * (w[rule.fiber_ends[0]] + w[rule.fiber_ends[1]])
+    w_m = 0.5 * (w[rule.matrix_ends[0]] + w[rule.matrix_ends[1]])
+    g = lam * u0_eval(lam, rule.fiber_rho, mesh.geometry.radius) + 1.0
+    q_f, q_m = rule.fiber_weights, rule.matrix_weights
 
-    verts = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
-    wloc = w[mesh.triangles]                       # (nt, 3)
-    mids = 0.5 * (verts + np.roll(verts, -1, axis=1))
-    wmid = 0.5 * (wloc + np.roll(wloc, -1, axis=1))
-
-    rho = np.hypot(mids[..., 0] - center[0], mids[..., 1] - center[1])
-    fiber = mesh.tags == FIBER
-    g = np.ones_like(wmid)
-    g[fiber] = lam * u0_eval(lam, np.clip(rho[fiber], 0.0, r), r) + 1.0
-
-    wq = areas[:, None] / 3.0                      # midpoint-rule weights
-
-    num = float(np.sum(wq * wmid * g))
-    den = float(np.sum(wq * wmid * wmid))
-    alpha = num / den
-
-    diff2 = (alpha * wmid - g) ** 2
-    err_f = float(np.sqrt(np.sum((wq * diff2)[fiber])))
-    ref_f = float(np.sqrt(np.sum((wq * g * g)[fiber])))
-    matrix = mesh.tags == MATRIX
-    err_m = float(np.sqrt(np.sum((wq * diff2)[matrix])))
-    ref_m = float(np.sqrt(np.sum((wq * g * g)[matrix])))
-    return err_f / ref_f, err_m / ref_m
+    alpha = (q_f @ (w_f * g) + q_m @ w_m) / (q_f @ (w_f * w_f) + q_m @ (w_m * w_m))
+    err_f = math.sqrt(q_f @ (alpha * w_f - g) ** 2 / (q_f @ (g * g)))
+    err_m = math.sqrt(q_m @ (alpha * w_m - 1.0) ** 2 / q_m.sum())
+    return err_f, err_m
 
 
 def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
@@ -272,12 +296,13 @@ def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
 
 def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
                       j_max: int, k_total: int, n_terms: int = 500,
-                      eig_tol: float = 1e-9, threads: int = 1,
+                      eig_tol: float = 1e-9,
                       mesh: TriMesh = None) -> ConvergenceReport:
     """Full epsilon sweep against the limit spectrum.
 
-    The eps values are independent and run on ``threads`` workers.  Merged
-    eigenvalues pair with the limit root of the same mode label j.
+    The eps values run one after another on one CellOperators set and one
+    midpoint rule of the mesh.  Merged eigenvalues pair with the limit
+    root of the same mode label j.
     The bound column is mu1 + eps^2 (k pi / L)^2 with the k-th *merged*
     rank, the slack subtracts lambda_eps, and c_h reports the same-mesh
     overestimate of mu1 so the h-effect can be separated from the
@@ -293,15 +318,19 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
     mu1_h = discrete_disk_mu1(mesh, tol=eig_tol)
     c_h = mu1_h - params.mu1
     L = geometry.height
+    operators = CellOperators(mesh)
+    rule = midpoint_rule(mesh)
 
-    def sweep_eps(eps):
-        rows, reorderings = [], []
-        merged = merged_spectrum(mesh, eps, j_max, k_total, L=L, tol=eig_tol)
+    rows, reorderings = [], []
+    for eps in eps_list:
+        merged = merged_spectrum(mesh, eps, j_max, k_total, L=L, tol=eig_tol,
+                                 operators=operators)
         for k, entry in enumerate(merged, start=1):
             lam0_k = (k * math.pi / L) ** 2
             bound = params.mu1 + eps ** 2 * lam0_k
             root = roots[entry.j]
-            err_f, err_m = eigenvector_error(entry.pair, entry.j, root, mesh, L)
+            err_f, err_m = eigenvector_error(entry.pair, entry.j, root, mesh, L,
+                                             rule=rule)
             rows.append(ReportRow(
                 eps=eps, k=k, j=entry.j, rank=entry.rank,
                 lambda_eps=entry.value, bound=bound,
@@ -310,15 +339,6 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
                 e_fiber=err_f, e_matrix=err_m))
             if entry.rank == 1 and entry.j != k:
                 reorderings.append({"eps": eps, "k": k, "j": entry.j})
-        return rows, reorderings
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sweep_eps, eps_list))
-    else:
-        results = [sweep_eps(eps) for eps in eps_list]
-    rows = [row for eps_rows, _ in results for row in eps_rows]
-    reorderings = [item for _, eps_items in results for item in eps_items]
 
     return ConvergenceReport(rows=rows, geometry=geometry, n_div=n_div,
                              mu1_exact=params.mu1, mu1_discrete=mu1_h,

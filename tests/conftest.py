@@ -36,5 +36,5 @@ def sweep(geometry, mesh64):
     (report, wall_seconds)."""
     t0 = time.time()
     report = fc.convergence_sweep(geometry, [0.4, 0.2, 0.1, 0.05], 64, 8, 8,
-                                  threads=4, mesh=mesh64)
+                                  mesh=mesh64)
     return report, time.time() - t0

@@ -81,3 +81,33 @@ def test_negative_argument_rejected():
         bessel_j0(-1.0)
     with pytest.raises(ValueError):
         bessel_j0_zero(0)
+
+
+def test_array_matches_scalar_across_crossover():
+    # the array path follows each element's scalar recurrence, on both
+    # sides of the series/asymptotic crossover at x = 12
+    xs = np.linspace(0.0, 40.0, 4001)
+    assert np.any(xs == 12.0)
+    for fn in (bessel_j0, bessel_j1):
+        values = fn(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        scalar = np.array([fn(float(x)) for x in xs])
+        assert np.max(np.abs(values - scalar)) <= 1e-15
+        grid = fn(xs[:4000].reshape(40, 100))
+        assert np.array_equal(grid.ravel(), values[:4000])
+
+
+def test_array_rejects_negative_and_keeps_scalars():
+    with pytest.raises(ValueError):
+        bessel_j0(np.array([1.0, -1e-3]))
+    assert isinstance(bessel_j0(np.float32(2.0)), float)
+    assert bessel_j0(np.array(3.0)) == bessel_j0(3.0)
+    assert bessel_j1(np.array([], dtype=float)).shape == (0,)
+
+
+def test_zero_table_residuals_and_brackets():
+    # the 501 zeros DispersionParams needs, from one array Newton solve
+    zeros = np.array(bessel_j0_zeros(501))
+    assert np.all(np.abs(bessel_j0(zeros)) <= 1e-11)
+    n = np.arange(1, 502)
+    assert np.all(((n - 1) * math.pi < zeros) & (zeros < n * math.pi))

@@ -195,3 +195,14 @@ def test_roots_csv_json_export(tmp_path, params):
     assert doc["config_hash"] == "deadbeef"
     assert len(doc["roots"]) == 3
     assert doc["mu0"] < doc["roots"][0]["lambda"]
+
+
+def test_u0_eval_array_equals_pointwise(params):
+    r = params.geometry.radius
+    rho = np.linspace(0.0, r, 257)
+    for lam in (1e-9, 0.3 * params.mu1, 0.97 * params.mu1):
+        values = u0_eval(lam, rho, r)
+        pointwise = np.array([u0_eval(lam, float(x), r) for x in rho])
+        assert np.max(np.abs(values - pointwise)) <= 1e-15 * max(1.0, np.max(np.abs(pointwise)))
+    # the Bessel branch evaluates J0 at rho = r and at r alike: u0(r) = 0
+    assert values[-1] == 0.0

@@ -66,14 +66,39 @@ def test_merged_insufficient_jmax_detected(mesh16):
         fc.merged_spectrum(mesh16, 0.2, 2, 8, L=1.0)
 
 
-def test_threaded_merge_deterministic(geometry, mesh16):
-    # threads run the eps values in parallel; rows keep the eps order
-    a = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, threads=1,
-                             mesh=mesh16)
-    b = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, threads=2,
-                             mesh=mesh16)
+def test_sequential_sweeps_deterministic(geometry, mesh16):
+    # the eps values run one after another; two sweeps give equal rows
+    a = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, mesh=mesh16)
+    b = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, mesh=mesh16)
+    assert [row.eps for row in a.rows] == [0.4] * 5 + [0.3] * 5 + [0.2] * 5
     assert a.rows == b.rows
     assert a.reorderings == b.reorderings
+
+
+def test_operator_set_serves_every_pencil(mesh16):
+    # pencils from one shared set equal pencils that build their own
+    ops = fc.CellOperators(mesh16)
+    for eps, j in ((0.3, 1), (0.05, 4)):
+        a = fc.mode_spectrum(mesh16, eps, j, 1.0, 3, operators=ops)
+        b = fc.mode_spectrum(mesh16, eps, j, 1.0, 3)
+        assert [p.value for p in a.pairs] == [p.value for p in b.pairs]
+    merged = fc.merged_spectrum(mesh16, 0.3, 6, 6, L=1.0, operators=ops)
+    assert [e.value for e in merged] == [e.value for e in
+                                         fc.merged_spectrum(mesh16, 0.3, 6, 6, L=1.0)]
+    assert np.array_equal(fc.discrete_mode_merge(mesh16, 6, 0.2, 1.0, 6, operators=ops),
+                          fc.discrete_mode_merge(mesh16, 6, 0.2, 1.0, 6))
+
+
+def test_discrete_merge_subset_matches_full_dense(mesh12):
+    # the subset solve keeps the per-mode values of the full dense spectrum
+    K1, M1 = fc.assemble_1d(8, 1.0)
+    gammas, _ = fc.dense_eigen_oracle(K1, M1)
+    full = []
+    for gamma in gammas:
+        pencil = fc.assemble_mode_pencil(mesh12, 0.2, float(gamma))
+        full.extend(fc.dense_eigen_oracle(pencil.K, pencil.M)[0][:8])
+    merged = fc.discrete_mode_merge(mesh12, 8, 0.2, 1.0, 8)
+    assert merged == pytest.approx(sorted(full)[:8], rel=1e-11)
 
 
 def test_kron_oracle_equals_discrete_merge(mesh12):
@@ -142,6 +167,37 @@ def test_uniform_ground_state_matrix_error_small(mesh16, params):
     assert e_m < 0.05
 
 
+@pytest.mark.parametrize("j, e_f, e_m", [
+    (1, 0.2852836599091609, 0.13391368518232225),
+    (2, 0.2277427925764741, 0.15220586256870422),
+    (3, 0.5604808330067536, 0.24778657671102178),
+])
+def test_eigenvector_error_pinned(mesh16, params, j, e_f, e_m):
+    # values of the per-call midpoint rule before it was hoisted out of
+    # eigenvector_error, on a smooth synthetic field
+    root = fc.limit_eigenvalues(params, 3)[j - 1]
+    x, y = mesh16.vertices[:, 0], mesh16.vertices[:, 1]
+    w = 1.0 + 0.3 * np.cos(2 * np.pi * j * x) * np.sin(np.pi * y) + 0.2 * (x - 0.5) ** 2
+    pair = fc.EigenPair(value=root.lam, vector=w, residual=0.0)
+    got = fc.eigenvector_error(pair, j, root, mesh16, 1.0)
+    assert got == pytest.approx((e_f, e_m), rel=1e-12, abs=0)
+    shared = fc.eigenvector_error(pair, j, root, mesh16, 1.0,
+                                  rule=fc.midpoint_rule(mesh16))
+    assert shared == got
+
+
+def test_midpoint_rule_integrates_quadratics(mesh16, geometry):
+    # exact for quadratics: int (x - 1/2)^2 over the cell is 1/12
+    rule = fc.midpoint_rule(mesh16)
+    x = mesh16.vertices[:, 0]
+    total = sum(q @ (0.5 * (x[e[0]] + x[e[1]]) - 0.5) ** 2
+                for e, q in ((rule.fiber_ends, rule.fiber_weights),
+                             (rule.matrix_ends, rule.matrix_weights)))
+    assert total == pytest.approx(1.0 / 12.0, rel=1e-12)
+    assert rule.fiber_weights.sum() == pytest.approx(mesh16.fiber_area(), rel=1e-13)
+    assert np.all((0.0 <= rule.fiber_rho) & (rule.fiber_rho <= geometry.radius))
+
+
 def test_eigenvector_error_label_mismatch(mesh16, params):
     root = fc.limit_eigenvalues(params, 2)[1]
     spec = fc.mode_spectrum(mesh16, 0.2, 1, 1.0, 1)
@@ -159,7 +215,7 @@ def test_same_pencil_eigenvectors_m_orthogonal(mesh16):
 
 def test_sweep_invariants_small(geometry):
     # coarse, fast sweep exercising the full report path
-    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 4, 3, threads=2)
+    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 4, 3)
     assert report.c_h > 0
     by_eps = {}
     for row in report.rows:
@@ -179,7 +235,7 @@ def test_sweep_requires_decreasing_eps(geometry):
 
 
 def test_report_files(tmp_path, geometry):
-    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 4, 2, threads=2)
+    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 4, 2)
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
     report.write_csv(csv_path, "cafe")

@@ -86,6 +86,7 @@ def dense_eigen_oracle(K, M, count: int = None):
     symmetric QR algorithm (LAPACK).  Brute-force reference for any pencil
     with at most ``DENSE_ORACLE_MAX_N`` unknowns.  With ``count``, only the
     ``count`` smallest pairs are computed (LAPACK's subset solver).
+    Raises NotSPDError when the Cholesky factorization of M fails.
 
     Returns
     -------
@@ -96,13 +97,14 @@ def dense_eigen_oracle(K, M, count: int = None):
     n = Kd.shape[0]
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_MAX_N}, got {n}")
-    try:
-        np.linalg.cholesky(Md)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError("mass matrix is not SPD") from exc
     subset = None if count is None else [0, min(count, n) - 1]
-    values, vectors = scipy.linalg.eigh(Kd, Md, subset_by_index=subset)
-    return values, vectors
+    try:
+        return scipy.linalg.eigh(Kd, Md, subset_by_index=subset)
+    except np.linalg.LinAlgError as exc:
+        # eigh's own Cholesky of M is the SPD check
+        if "not positive definite" not in str(exc):
+            raise
+        raise NotSPDError(f"mass matrix is not SPD: {exc}") from exc
 
 
 def _m_dot(M, x, y):

@@ -19,22 +19,55 @@ the series.  delta is a strictly increasing bijection of (0, mu_1) onto
 (0, inf); solving delta(lambda) = (j pi / L)^2 by bisection produces the
 limit eigenvalues, which accumulate at mu_1 and stay above
 mu_0 = phi^-1(lambda_0).
+
+J0, J1 and the zeros of J0 come from ``scipy.special``, imported on the
+first Bessel evaluation: a cold start (import, config, DispersionParams)
+evaluates none and so does not pay for that import.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j0, bessel_j1, bessel_j0_zero, bessel_j0_zeros
 from .geometry import CellGeometry
 
+J01 = 2.404825557695773   # first zero of J0, correctly rounded
 _INTERVAL_MARGIN = 1e-10  # relative margin keeping bisection off 0 and mu_1
 _SMALL_LAMBDA = 1e-8      # below this, use the torsion expansion of S and u0
+
+
+@functools.cache
+def _special():
+    return importlib.import_module("scipy.special")
+
+
+def bessel_j0(x):
+    """J0(x), elementwise for an array."""
+    return _special().j0(x)
+
+
+def bessel_j1(x):
+    """J1(x), elementwise for an array."""
+    return _special().j1(x)
+
+
+def bessel_j0_zeros(n: int) -> np.ndarray:
+    """First n positive zeros of J0."""
+    return _special().jn_zeros(0, n)
+
+
+def bessel_j0_zero(n: int) -> float:
+    """n-th positive zero of J0 (n >= 1)."""
+    if n < 1:
+        raise ValueError("zero index must be >= 1")
+    return float(bessel_j0_zeros(n)[-1])
 
 
 @dataclass
@@ -43,7 +76,8 @@ class DispersionParams:
 
     mu1 is the first disk Dirichlet eigenvalue (j_{0,1}/r)^2, lambda0 the
     first vertical eigenvalue (pi/L)^2, c_coef = 1 + |D|/|C\\D| and
-    cp_coef = 1/|C\\D|.
+    cp_coef = 1/|C\\D|.  ``eigendata`` holds the radial disk modes 1..n_terms+1
+    of ``disk_radial_eigendata``, built on first use.
     """
 
     geometry: CellGeometry
@@ -52,17 +86,19 @@ class DispersionParams:
     lambda0: float = field(init=False)
     c_coef: float = field(init=False)
     cp_coef: float = field(init=False)
-    eigendata: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_terms < 50:
             raise ValueError("n_terms must be at least 50")
         g = self.geometry
-        self.mu1 = (bessel_j0_zero(1) / g.radius) ** 2
+        self.mu1 = (J01 / g.radius) ** 2
         self.lambda0 = (math.pi / g.height) ** 2
         self.c_coef = 1.0 + g.disk_area / g.matrix_area
         self.cp_coef = 1.0 / g.matrix_area
-        self.eigendata = disk_radial_eigendata(g.radius, self.n_terms)
+
+    @functools.cached_property
+    def eigendata(self) -> np.ndarray:
+        return disk_radial_eigendata(self.geometry.radius, self.n_terms + 1)
 
 
 @dataclass
@@ -86,7 +122,7 @@ def disk_radial_eigendata(r: float, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one mode")
-    z = np.array(bessel_j0_zeros(n))
+    z = bessel_j0_zeros(n)
     return np.column_stack([(z / r) ** 2, 4.0 * math.pi * r * r / (z * z)])
 
 
@@ -98,13 +134,11 @@ def mean_u0_series(lam: float, params: DispersionParams):
     disk indicator (all its mass is radial).
     """
     _check_lambda(lam, params.mu1)
-    mu = params.eigendata[:, 0]
-    cn2 = params.eigendata[:, 1]
+    mu, cn2 = params.eigendata[:-1].T
     value = float(np.sum(cn2 / (mu - lam)))
-    r = params.geometry.radius
-    mu_next = (bessel_j0_zero(params.n_terms + 1) / r) ** 2
+    mu_next = params.eigendata[-1, 0]
     mass_left = params.geometry.disk_area - float(np.sum(cn2))
-    tail = mass_left / (mu_next - lam)
+    tail = float(mass_left / (mu_next - lam))
     return value, tail
 
 
@@ -115,13 +149,13 @@ def mean_u0_closed(lam: float, r: float) -> float:
     pi r^4/8 + lambda pi r^6/48 avoids the 0/0 cancellation; the formula has
     a pole at mu_1 where J0(sqrt(lambda) r) vanishes.
     """
-    mu1 = (bessel_j0_zero(1) / r) ** 2
-    _check_lambda(lam, mu1)
+    _check_lambda(lam, (J01 / r) ** 2)
     if lam <= _SMALL_LAMBDA:
         return math.pi * r ** 4 / 8.0 + lam * math.pi * r ** 6 / 48.0
     s = math.sqrt(lam)
     j0 = bessel_j0(s * r)
-    return (2.0 * math.pi * r * bessel_j1(s * r) / (s * j0) - math.pi * r * r) / lam
+    return float((2.0 * math.pi * r * bessel_j1(s * r) / (s * j0)
+                  - math.pi * r * r) / lam)
 
 
 def u0_eval(lam: float, rho, r: float):
@@ -131,8 +165,7 @@ def u0_eval(lam: float, rho, r: float):
     Accepts scalar or array rho in [0, r].  J0 is evaluated once on the
     whole array and once at r by the same function, so u0(r) = 0 exactly.
     """
-    mu1 = (bessel_j0_zero(1) / r) ** 2
-    _check_lambda(lam, mu1)
+    _check_lambda(lam, (J01 / r) ** 2)
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < -1e-14) or np.any(rho_arr > r * (1 + 1e-12)):
         raise ValueError("rho must lie in [0, r]")

@@ -56,6 +56,17 @@ def test_dense_oracle_rejects_non_spd_mass():
         fc.dense_eigen_oracle(np.eye(3), np.diag([1.0, -1.0, 1.0]))
 
 
+def test_dense_oracle_passes_other_linalg_errors(monkeypatch):
+    # only eigh's failed Cholesky of M means "not SPD"
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(fc.eigensolve.scipy.linalg, "eigh", fail)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        fc.dense_eigen_oracle(np.eye(3), np.eye(3))
+    assert not isinstance(info.value, NotSPDError)
+
+
 def test_dense_oracle_size_limit():
     n = fc.eigensolve.DENSE_ORACLE_MAX_N + 1
     with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import fibercell as fc
 from fibercell import (delta, disk_radial_eigendata, limit_eigenfunction,
                        limit_eigenvalues, mean_u0_closed, mean_u0_series,
                        mu0_lower_bound, u0_eval)
-from fibercell.bessel import bessel_j0, bessel_j0_zero, bessel_j1
+from fibercell.limit import J01, bessel_j0, bessel_j0_zero, bessel_j1
 
 
 def _simpson(f, a, b, n=4000):
@@ -206,3 +209,41 @@ def test_u0_eval_array_equals_pointwise(params):
         assert np.max(np.abs(values - pointwise)) <= 1e-15 * max(1.0, np.max(np.abs(pointwise)))
     # the Bessel branch evaluates J0 at rho = r and at r alike: u0(r) = 0
     assert values[-1] == 0.0
+
+
+def test_cold_setup_does_not_import_scipy_special():
+    # the set-up every CLI run pays: scipy.special would add ~50 ms to it
+    code = ("import sys\n"
+            "import fibercell.cli\n"
+            "from fibercell.config import validate_config\n"
+            "from fibercell.limit import DispersionParams\n"
+            "config = validate_config({})\n"
+            "DispersionParams(geometry=config.geometry(), n_terms=config.n_terms)\n"
+            "print('scipy.special' in sys.modules)\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_j01_is_first_zero_of_j0():
+    from scipy.special import jn_zeros
+    assert abs(J01 - jn_zeros(0, 1)[0]) <= np.spacing(J01)
+    assert abs(bessel_j0(J01)) <= 1e-15
+
+
+def test_scalar_results_are_python_floats(params, geometry):
+    lam = 0.5 * params.mu1
+    assert type(mean_u0_closed(lam, geometry.radius)) is float
+    assert type(u0_eval(lam, 0.1, geometry.radius)) is float
+    assert all(type(v) is float for v in mean_u0_series(lam, params))
+
+
+def test_eigendata_holds_the_tail_mode(params, geometry):
+    # n_terms modes for the series plus mu_{N+1} for its tail bound
+    assert params.eigendata.shape == (params.n_terms + 1, 2)
+    mu_next = (bessel_j0_zero(params.n_terms + 1) / geometry.radius) ** 2
+    assert params.eigendata[-1, 0] == pytest.approx(mu_next, rel=1e-14)

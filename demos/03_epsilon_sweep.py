@@ -16,8 +16,7 @@ geometry = fc.build_cell_geometry()
 eps_list = [0.4, 0.2, 0.1, 0.05]
 
 t0 = time.time()
-report = fc.convergence_sweep(geometry, eps_list, n_div=64, j_max=8,
-                              k_total=8)
+report = fc.convergence_sweep(geometry, eps_list, n_div=64, k_total=8)
 print(f"sweep finished in {time.time() - t0:.1f} s")
 print(f"mesh mu1_h = {report.mu1_discrete:.6f}, exact {report.mu1_exact:.6f}, "
       f"C_h = {report.c_h:.4f}")

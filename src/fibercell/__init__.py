@@ -14,7 +14,6 @@ from .mesh import (FIBER, MATRIX, MeshQualityError, QualityReport, TriMesh,
                    write_mesh)
 from .assembly import (CellOperators, ModePencil, assemble_1d,
                        assemble_dirichlet_disk, assemble_mode_pencil,
-                       assemble_weighted_mass, assemble_weighted_stiffness,
                        export_matrix)
 from .eigensolve import (EigenPair, NotSPDError, SPDFactor, cluster_widths,
                          dense_eigen_oracle, factorize_spd, smallest_eigenpairs)

@@ -117,18 +117,6 @@ class CellOperators:
                           mesh=self.mesh)
 
 
-def assemble_weighted_stiffness(mesh: TriMesh, w_fiber: float,
-                                w_matrix: float) -> sp.csr_matrix:
-    """sum_T w(tag_T) int_T grad(phi_i).grad(phi_j)."""
-    return CellOperators(mesh).stiffness(w_fiber, w_matrix)
-
-
-def assemble_weighted_mass(mesh: TriMesh, w_fiber: float,
-                           w_matrix: float) -> sp.csr_matrix:
-    """sum_T w(tag_T) int_T phi_i phi_j with the exact P1 mass template."""
-    return CellOperators(mesh).mass(w_fiber, w_matrix)
-
-
 def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
                          operators: CellOperators = None) -> ModePencil:
     """Pencil of the 2D problem obtained by separating one vertical mode.
@@ -203,7 +191,6 @@ def export_matrix(A: sp.spmatrix, path) -> None:
     one ``i j value`` line per stored entry."""
     coo = sp.triu(A.tocsr(), k=0).tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"{A.shape[0]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{i} {j} {v:.17g}\n")
+    np.savetxt(path, np.column_stack([coo.row, coo.col, coo.data])[order],
+               fmt=["%d", "%d", "%.17g"], header=f"{A.shape[0]} {coo.nnz}",
+               comments="")

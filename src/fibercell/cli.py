@@ -19,7 +19,8 @@ import numpy as np
 
 from .assembly import CellOperators
 from .config import ConfigError, RunConfig, parse_config
-from .eigensolve import dense_eigen_oracle, smallest_eigenpairs
+from .eigensolve import (DENSE_ORACLE_MAX_N, dense_eigen_oracle,
+                         smallest_eigenpairs)
 from .limit import (DispersionParams, limit_eigenvalues, mean_u0_closed,
                     mean_u0_series, write_roots_csv, write_roots_json)
 from .mesh import generate_mesh, write_mesh
@@ -89,9 +90,9 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
     if name == "eps-spectrum":
         eps = config.eps_list[0]
         mesh = generate_mesh(geometry, config.n_div)
-        merged = merged_spectrum(mesh, eps, config.j_max, config.k_total,
-                                 L=geometry.height, tol=config.eig_tol)
-        path = os.path.join(out, f"eps_spectrum.csv")
+        merged = merged_spectrum(mesh, eps, config.k_total, L=geometry.height,
+                                 tol=config.eig_tol)
+        path = os.path.join(out, "eps_spectrum.csv")
         with open(path, "w") as fh:
             fh.write(f"# config_hash={tag}\n")
             fh.write("k,j,rank,lambda_eps,residual\n")
@@ -102,8 +103,7 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
 
     if name == "converge":
         report = convergence_sweep(geometry, config.eps_list, config.n_div,
-                                   config.j_max, config.k_total,
-                                   n_terms=config.n_terms,
+                                   config.k_total, n_terms=config.n_terms,
                                    eig_tol=config.eig_tol)
         report.write_csv(os.path.join(out, "convergence.csv"), tag)
         report.write_json(os.path.join(out, "convergence.json"), tag)
@@ -146,7 +146,7 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
 
     # ARPACK shift-invert with complement probe vs dense on a coarse pencil
     pencil = operators.pencil(0.3, (np.pi / geometry.height) ** 2)
-    if pencil.K.shape[0] <= 2000:
+    if pencil.K.shape[0] <= DENSE_ORACLE_MAX_N:
         dense_vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
         krylov = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)
         for pair, ref in zip(krylov, dense_vals[:6]):

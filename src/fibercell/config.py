@@ -20,23 +20,6 @@ class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
 
 
-_DEFAULTS = {
-    "side": 1.0,
-    "center": [0.5, 0.5],
-    "radius": 0.25,
-    "height": 1.0,
-    "n_div": 64,
-    "eps_list": [0.4, 0.2, 0.1, 0.05],
-    "j_max": 8,
-    "k_total": 8,
-    "n_terms": 500,
-    "eig_tol": 1e-9,
-    "root_tol": 1e-12,
-    "out_dir": ".",
-    "seed": 20240817,
-}
-
-
 @dataclass
 class RunConfig:
     side: float = 1.0
@@ -51,7 +34,6 @@ class RunConfig:
     eig_tol: float = 1e-9
     root_tol: float = 1e-12
     out_dir: str = "."
-    seed: int = 20240817
 
     def geometry(self) -> CellGeometry:
         return build_cell_geometry(self.side, tuple(self.center), self.radius,
@@ -77,9 +59,9 @@ def _require(cond: bool, message: str) -> None:
 
 def validate_config(doc: dict) -> RunConfig:
     """Validate a raw JSON document against the schema and defaults."""
-    unknown = set(doc) - set(_DEFAULTS)
+    merged = asdict(RunConfig())
+    unknown = set(doc) - set(merged)
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    merged = dict(_DEFAULTS)
     merged.update(doc)
 
     _require(isinstance(merged["n_div"], int) and merged["n_div"] >= 8,
@@ -87,7 +69,8 @@ def validate_config(doc: dict) -> RunConfig:
     for key in ("side", "radius", "height", "eig_tol", "root_tol"):
         _require(isinstance(merged[key], (int, float)) and merged[key] > 0,
                  f"{key}: must be positive, got {merged[key]!r}")
-    for key in ("j_max", "k_total", "n_terms", "seed"):
+        merged[key] = float(merged[key])
+    for key in ("j_max", "k_total", "n_terms"):
         _require(isinstance(merged[key], int) and merged[key] >= 1,
                  f"{key}: must be a positive integer, got {merged[key]!r}")
     _require(merged["n_terms"] >= 50,
@@ -105,19 +88,9 @@ def validate_config(doc: dict) -> RunConfig:
     _require(isinstance(merged["out_dir"], str),
              f"out_dir: must be a string, got {merged['out_dir']!r}")
 
-    config = RunConfig(side=float(merged["side"]),
-                       center=(float(center[0]), float(center[1])),
-                       radius=float(merged["radius"]),
-                       height=float(merged["height"]),
-                       n_div=merged["n_div"],
-                       eps_list=[float(v) for v in eps_list],
-                       j_max=merged["j_max"],
-                       k_total=merged["k_total"],
-                       n_terms=merged["n_terms"],
-                       eig_tol=float(merged["eig_tol"]),
-                       root_tol=float(merged["root_tol"]),
-                       out_dir=merged["out_dir"],
-                       seed=merged["seed"])
+    merged["center"] = (float(center[0]), float(center[1]))
+    merged["eps_list"] = [float(v) for v in eps_list]
+    config = RunConfig(**merged)
     try:
         config.geometry()
     except ValueError as exc:

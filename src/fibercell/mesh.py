@@ -379,10 +379,8 @@ def write_mesh(mesh: TriMesh, path) -> None:
     then ``i j k tag`` per triangle (0-based; tag 0=FIBER, 1=MATRIX)."""
     with open(path, "w") as fh:
         fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for (i, j, k), tag in zip(mesh.triangles, mesh.tags):
-            fh.write(f"{i} {j} {k} {tag}\n")
+        np.savetxt(fh, mesh.vertices, fmt="%.17g")
+        np.savetxt(fh, np.column_stack([mesh.triangles, mesh.tags]), fmt="%d")
 
 
 def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
@@ -390,15 +388,9 @@ def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
     follow from the grid nodes on the bottom edge."""
     with open(path) as fh:
         nv, nt = map(int, fh.readline().split())
-        vertices = np.empty((nv, 2))
-        for i in range(nv):
-            vertices[i] = [float(v) for v in fh.readline().split()]
-        triangles = np.empty((nt, 3), dtype=np.int64)
-        tags = np.empty(nt, dtype=np.int64)
-        for i in range(nt):
-            parts = fh.readline().split()
-            triangles[i] = [int(v) for v in parts[:3]]
-            tags[i] = int(parts[3])
+        vertices = np.loadtxt(fh, max_rows=nv, ndmin=2)
+        table = np.loadtxt(fh, dtype=np.int64, max_rows=nt, ndmin=2)
+    triangles, tags = table[:, :3].copy(), table[:, 3].copy()
     # grid nodes on the bottom edge: n_div + 1 of them, spaced by h
     xmin, ymin = vertices.min(axis=0)
     side = vertices[:, 0].max() - xmin

@@ -133,43 +133,39 @@ def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
     return ModeSpectrum(eps=eps, j=j, gamma=gamma, pairs=pairs, mesh=mesh)
 
 
-def merged_spectrum(mesh: TriMesh, eps: float, j_max: int, k_total: int,
+def merged_spectrum(mesh: TriMesh, eps: float, k_total: int,
                     L: float = None, tol: float = 1e-9,
                     operators: CellOperators = None) -> list[MergedEigenvalue]:
-    """Globally sorted merge of the per-mode spectra, solved lazily.
+    """The k_total smallest values of the per-mode spectra, solved lazily.
 
     Ties break by (value, j).  Mode pencils increase with j, so
     lambda_r(j) >= lambda_r(j-1): mode j solves only for as many pairs as
     mode j-1 placed in the running top k_total, and the merge is complete
     once a mode places none or its smallest eigenvalue reaches the k-th
-    merged value.  Raises if mode j_max is reached without that proof.
+    merged value.  That happens by mode k_total at the latest: K grows
+    with gamma by at least eps^2 M, so each mode's smallest eigenvalue
+    exceeds the previous mode's, and after mode k_total the k_total ground
+    values seen so far bound the k-th merged value by mode k_total's own.
     Every mode pencil comes from ``operators`` (built here if None).
     """
     if L is None:
         L = mesh.geometry.height
-    if j_max < 1 or k_total < 1:
-        raise ValueError("j_max and k_total must be >= 1")
+    if k_total < 1:
+        raise ValueError("k_total must be >= 1")
     if operators is None:
         operators = CellOperators(mesh)
 
     merged: list[MergedEigenvalue] = []
     need = k_total
-    for j in range(1, j_max + 1):
+    for j in range(1, k_total + 1):
         spec = mode_spectrum(mesh, eps, j, L, need, tol=tol, operators=operators)
         merged += [MergedEigenvalue(value=pair.value, j=j, rank=rank, pair=pair)
                    for rank, pair in enumerate(spec.pairs, start=1)]
         merged.sort(key=lambda e: (e.value, e.j, e.rank))
         del merged[k_total:]
         need = sum(e.j == j for e in merged)
-        ground = spec.pairs[0].value
-        if need == 0 or merged[-1].value <= ground:
-            return merged
-
-    if merged[-1].value > ground * (1 + 1e-12):
-        raise ValueError(
-            f"j_max={j_max} insufficient: merged value {merged[-1].value:.6g} "
-            f"exceeds the smallest eigenvalue {ground:.6g} of mode "
-            f"{j_max}; raise j_max")
+        if need == 0 or merged[-1].value <= spec.pairs[0].value:
+            break
     return merged
 
 
@@ -295,7 +291,7 @@ def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
 
 
 def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
-                      j_max: int, k_total: int, n_terms: int = 500,
+                      k_total: int, n_terms: int = 500,
                       eig_tol: float = 1e-9,
                       mesh: TriMesh = None) -> ConvergenceReport:
     """Full epsilon sweep against the limit spectrum.
@@ -314,7 +310,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
     if mesh is None:
         mesh = generate_mesh(geometry, n_div)
     params = DispersionParams(geometry=geometry, n_terms=n_terms)
-    roots = {root.j: root for root in limit_eigenvalues(params, j_max)}
+    roots = {root.j: root for root in limit_eigenvalues(params, k_total)}
     mu1_h = discrete_disk_mu1(mesh, tol=eig_tol)
     c_h = mu1_h - params.mu1
     L = geometry.height
@@ -323,7 +319,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
 
     rows, reorderings = [], []
     for eps in eps_list:
-        merged = merged_spectrum(mesh, eps, j_max, k_total, L=L, tol=eig_tol,
+        merged = merged_spectrum(mesh, eps, k_total, L=L, tol=eig_tol,
                                  operators=operators)
         for k, entry in enumerate(merged, start=1):
             lam0_k = (k * math.pi / L) ** 2

@@ -35,6 +35,6 @@ def sweep(geometry, mesh64):
     """Desk-scale epsilon sweep shared by the acceptance criteria; returns
     (report, wall_seconds)."""
     t0 = time.time()
-    report = fc.convergence_sweep(geometry, [0.4, 0.2, 0.1, 0.05], 64, 8, 8,
+    report = fc.convergence_sweep(geometry, [0.4, 0.2, 0.1, 0.05], 64, 8,
                                   mesh=mesh64)
     return report, time.time() - t0

@@ -20,7 +20,7 @@ def _single_triangle_mesh(geometry):
 
 
 def test_stiffness_constants_in_kernel(mesh16):
-    K = fc.assemble_weighted_stiffness(mesh16, 1.0, 1.0)
+    K = fc.CellOperators(mesh16).stiffness(1.0, 1.0)
     row_sums = np.asarray(K.sum(axis=1)).ravel()
     assert np.max(np.abs(row_sums)) < 1e-12
 
@@ -28,25 +28,25 @@ def test_stiffness_constants_in_kernel(mesh16):
 def test_single_right_triangle_stiffness(geometry):
     # hand P1 element integrals: diag (1, 1/2, 1/2)
     mesh = _single_triangle_mesh(geometry)
-    K = fc.assemble_weighted_stiffness(mesh, 1.0, 1.0).toarray()
+    K = fc.CellOperators(mesh).stiffness(1.0, 1.0).toarray()
     assert np.allclose(np.diag(K), [1.0, 0.5, 0.5], atol=1e-15)
     assert np.allclose(K, K.T, atol=0)
 
 
 def test_fiber_weight_scales_linearly(mesh16):
-    K1 = fc.assemble_weighted_stiffness(mesh16, 1.0, 1.0)
-    K4 = fc.assemble_weighted_stiffness(mesh16, 4.0, 4.0)
+    K1 = fc.CellOperators(mesh16).stiffness(1.0, 1.0)
+    K4 = fc.CellOperators(mesh16).stiffness(4.0, 4.0)
     assert abs(K4 - 4.0 * K1).max() < 1e-12
 
 
 def test_mass_total_equals_area(geometry, mesh16):
-    M = fc.assemble_weighted_mass(mesh16, 1.0, 1.0)
+    M = fc.CellOperators(mesh16).mass(1.0, 1.0)
     assert M.sum() == pytest.approx(geometry.side ** 2, rel=1e-12)
 
 
 def test_single_triangle_mass(geometry):
     mesh = _single_triangle_mesh(geometry)
-    M = fc.assemble_weighted_mass(mesh, 1.0, 1.0).toarray()
+    M = fc.CellOperators(mesh).mass(1.0, 1.0).toarray()
     area = 0.5
     assert np.allclose(np.diag(M), area / 6.0, atol=1e-15)
     assert M[0, 1] == pytest.approx(area / 12.0, abs=1e-15)
@@ -54,7 +54,7 @@ def test_single_triangle_mass(geometry):
 
 def test_mass_fiber_weight_scaling(mesh16):
     # fiber block scaled by eps^2 = 0.01: total = 0.01*|D_h| + |C\D_h|
-    M = fc.assemble_weighted_mass(mesh16, 0.01, 1.0)
+    M = fc.CellOperators(mesh16).mass(0.01, 1.0)
     expect = 0.01 * mesh16.fiber_area() + mesh16.matrix_area()
     assert M.sum() == pytest.approx(expect, rel=1e-12)
 
@@ -62,8 +62,8 @@ def test_mass_fiber_weight_scaling(mesh16):
 def test_mode_pencil_weights_and_definiteness(mesh16):
     pencil = fc.assemble_mode_pencil(mesh16, 0.1, math.pi ** 2)
     # K = stiffness(1, eps^-2) + gamma*mass(eps^2, 1) exactly
-    K_expect = (fc.assemble_weighted_stiffness(mesh16, 1.0, 100.0)
-                + math.pi ** 2 * fc.assemble_weighted_mass(mesh16, 0.01, 1.0))
+    K_expect = (fc.CellOperators(mesh16).stiffness(1.0, 100.0)
+                + math.pi ** 2 * fc.CellOperators(mesh16).mass(0.01, 1.0))
     assert abs(pencil.K - K_expect).max() < 1e-12
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -75,7 +75,7 @@ def test_mode_pencil_gamma_linearity(mesh16):
     # differencing two gammas recovers the weighted mass exactly
     p1 = fc.assemble_mode_pencil(mesh16, 0.2, 1.0)
     p2 = fc.assemble_mode_pencil(mesh16, 0.2, 3.0)
-    M_w = fc.assemble_weighted_mass(mesh16, 0.04, 1.0)
+    M_w = fc.CellOperators(mesh16).mass(0.04, 1.0)
     assert abs((p2.K - p1.K) / 2.0 - M_w).max() < 1e-12
 
 
@@ -150,7 +150,7 @@ def test_galerkin_monotonicity_disk(geometry, mesh16, mesh64):
 
 
 def test_matrix_export_format(tmp_path, mesh16):
-    K = fc.assemble_weighted_stiffness(mesh16, 1.0, 1.0)
+    K = fc.CellOperators(mesh16).stiffness(1.0, 1.0)
     path = tmp_path / "K.txt"
     fc.export_matrix(K, path)
     lines = path.read_text().splitlines()
@@ -172,4 +172,4 @@ def test_degenerate_triangle_rejected(geometry):
                   boundary_nodes=np.array([], dtype=int),
                   geometry=geometry, h=1.0)
     with pytest.raises(ValueError):
-        fc.assemble_weighted_stiffness(bad, 1.0, 1.0)
+        fc.CellOperators(bad)

@@ -21,6 +21,10 @@ def test_empty_config_gets_defaults(tmp_path):
     assert config.n_terms == 500
 
 
+def test_defaults_declared_once():
+    assert validate_config({}) == RunConfig()
+
+
 def test_nondecreasing_eps_list_rejected(tmp_path):
     with pytest.raises(ConfigError, match="decreasing"):
         parse_config(_write_config(tmp_path, {"eps_list": [0.1, 0.2]}))
@@ -34,6 +38,9 @@ def test_geometry_violation_rejected(tmp_path):
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown"):
         parse_config(_write_config(tmp_path, {"raduis": 0.2}))
+    # the eigensolver seeds itself, so a seed key would change no number
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        validate_config({"seed": 20240817})
 
 
 def test_malformed_json_rejected(tmp_path):
@@ -105,6 +112,18 @@ def test_cli_converge(tmp_path):
     assert code == 0
     assert (out / "convergence.csv").exists()
     assert (out / "convergence.json").exists()
+
+
+def test_cli_converge_ignores_j_max(tmp_path):
+    # the merge needs modes 1..k_total only; j_max is no cap on it
+    rows = {}
+    for j_max in (1, 8):
+        out = tmp_path / f"j{j_max}"
+        cfg = _fast_config(tmp_path, j_max=j_max, k_total=4)
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        rows[j_max] = (out / "convergence.csv").read_text().splitlines()[1:]
+    assert len(rows[1]) == 1 + 2 * 4
+    assert rows[1] == rows[8]
 
 
 def test_cli_validate_passes(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -138,6 +139,14 @@ def test_mesh_text_roundtrip(tmp_path, geometry, mesh16):
     assert (back.n_div, back.h) == (16, mesh16.h)
     head = path.read_text().splitlines()[0].split()
     assert head == [str(len(mesh16.vertices)), str(len(mesh16.triangles))]
+
+
+def test_mesh_text_bytes_pinned(tmp_path, mesh16):
+    # the text format, byte for byte
+    path = tmp_path / "mesh.txt"
+    fc.write_mesh(mesh16, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "df548a04b63c36af131d8d48b3cebdd9397ec6d29c06df2073b51aab4cfee7a2")
 
 
 def test_boundary_nodes_count(geometry, mesh16):

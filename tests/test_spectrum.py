@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fibercell as fc
+from fibercell import spectrum
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +32,12 @@ def test_gamma_swap_reproduces_other_mode(mesh16):
 
 
 def test_merged_ground_state_from_mode_one(mesh16):
-    merged = fc.merged_spectrum(mesh16, 0.3, 3, 1, L=1.0)
+    merged = fc.merged_spectrum(mesh16, 0.3, 1, L=1.0)
     assert merged[0].j == 1 and merged[0].rank == 1
 
 
 def test_merged_nondecreasing_and_positive(mesh16):
-    merged = fc.merged_spectrum(mesh16, 0.3, 6, 6, L=1.0)
+    merged = fc.merged_spectrum(mesh16, 0.3, 6, L=1.0)
     values = [e.value for e in merged]
     assert values == sorted(values)
     assert values[0] > 0.0
@@ -44,32 +45,37 @@ def test_merged_nondecreasing_and_positive(mesh16):
 
 def test_merged_bound_first_five(mesh64, params):
     # first 5 merged values at eps = 0.1 below mu1 + eps^2 lambda_5^0
-    merged = fc.merged_spectrum(mesh64, 0.1, 8, 5, L=1.0)
+    merged = fc.merged_spectrum(mesh64, 0.1, 5, L=1.0)
     bound = params.mu1 + 0.01 * (5 * math.pi) ** 2
     assert all(e.value < bound for e in merged)
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.2])
-def test_lazy_merge_matches_full_merge(mesh16, eps):
-    # full per-mode spectra for every mode up to j_max, merged afterwards
+@pytest.mark.parametrize("k_total", [3, 8, 12])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
+def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
+    # full per-mode spectra for two modes past k_total, merged afterwards
     full = sorted(((p.value, j, rank)
-                   for j in range(1, 9)
-                   for rank, p in enumerate(fc.mode_spectrum(mesh16, eps, j, 1.0, 8).pairs,
-                                            start=1)))[:8]
-    merged = fc.merged_spectrum(mesh16, eps, 8, 8, L=1.0)
-    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in full]
-    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in full], rel=1e-10)
+                   for j in range(1, k_total + 3)
+                   for rank, p in enumerate(
+                       fc.mode_spectrum(mesh16, eps, j, 1.0, k_total).pairs, start=1)))
+    solved = []
 
+    def recording(mesh, eps, j, *args, **kwargs):
+        solved.append(j)
+        return fc.mode_spectrum(mesh, eps, j, *args, **kwargs)
 
-def test_merged_insufficient_jmax_detected(mesh16):
-    with pytest.raises(ValueError, match="insufficient"):
-        fc.merged_spectrum(mesh16, 0.2, 2, 8, L=1.0)
+    monkeypatch.setattr(spectrum, "mode_spectrum", recording)
+    merged = fc.merged_spectrum(mesh16, eps, k_total, L=1.0)
+    assert max(solved) <= k_total
+    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in full[:k_total]]
+    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in full[:k_total]],
+                                                      rel=1e-10)
 
 
 def test_sequential_sweeps_deterministic(geometry, mesh16):
     # the eps values run one after another; two sweeps give equal rows
-    a = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, mesh=mesh16)
-    b = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 8, 5, mesh=mesh16)
+    a = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 5, mesh=mesh16)
+    b = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 5, mesh=mesh16)
     assert [row.eps for row in a.rows] == [0.4] * 5 + [0.3] * 5 + [0.2] * 5
     assert a.rows == b.rows
     assert a.reorderings == b.reorderings
@@ -82,9 +88,9 @@ def test_operator_set_serves_every_pencil(mesh16):
         a = fc.mode_spectrum(mesh16, eps, j, 1.0, 3, operators=ops)
         b = fc.mode_spectrum(mesh16, eps, j, 1.0, 3)
         assert [p.value for p in a.pairs] == [p.value for p in b.pairs]
-    merged = fc.merged_spectrum(mesh16, 0.3, 6, 6, L=1.0, operators=ops)
+    merged = fc.merged_spectrum(mesh16, 0.3, 6, L=1.0, operators=ops)
     assert [e.value for e in merged] == [e.value for e in
-                                         fc.merged_spectrum(mesh16, 0.3, 6, 6, L=1.0)]
+                                         fc.merged_spectrum(mesh16, 0.3, 6, L=1.0)]
     assert np.array_equal(fc.discrete_mode_merge(mesh16, 6, 0.2, 1.0, 6, operators=ops),
                           fc.discrete_mode_merge(mesh16, 6, 0.2, 1.0, 6))
 
@@ -114,8 +120,8 @@ def test_kron_uniform_is_sum_of_1d_and_2d(mesh12):
     v3 = fc.kron_3d_oracle(mesh12, 8, 1.0, 1.0, 5)
     K1, M1 = fc.assemble_1d(8, 1.0)
     g1, _ = fc.dense_eigen_oracle(K1, M1)
-    M2 = fc.assemble_weighted_mass(mesh12, 1.0, 1.0)
-    K2 = fc.assemble_weighted_stiffness(mesh12, 1.0, 1.0)
+    M2 = fc.CellOperators(mesh12).mass(1.0, 1.0)
+    K2 = fc.CellOperators(mesh12).stiffness(1.0, 1.0)
     nu, _ = fc.dense_eigen_oracle(K2, M2)
     sums = np.sort((nu[:, None] + g1[None, :]).ravel())[:5]
     assert np.allclose(v3, sums, rtol=1e-9)
@@ -124,7 +130,7 @@ def test_kron_uniform_is_sum_of_1d_and_2d(mesh12):
 def test_kron_matches_production_merge(mesh12):
     # discretization difference only: discrete vs analytic vertical values
     v3 = fc.kron_3d_oracle(mesh12, 8, 0.2, 1.0, 1)
-    merged = fc.merged_spectrum(mesh12, 0.2, 3, 1, L=1.0)
+    merged = fc.merged_spectrum(mesh12, 0.2, 1, L=1.0)
     assert v3[0] == pytest.approx(merged[0].value, rel=0.02)
 
 
@@ -215,7 +221,7 @@ def test_same_pencil_eigenvectors_m_orthogonal(mesh16):
 
 def test_sweep_invariants_small(geometry):
     # coarse, fast sweep exercising the full report path
-    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 4, 3)
+    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 3)
     assert report.c_h > 0
     by_eps = {}
     for row in report.rows:
@@ -231,11 +237,11 @@ def test_sweep_invariants_small(geometry):
 
 def test_sweep_requires_decreasing_eps(geometry):
     with pytest.raises(ValueError):
-        fc.convergence_sweep(geometry, [0.1, 0.2], 16, 3, 2)
+        fc.convergence_sweep(geometry, [0.1, 0.2], 16, 2)
 
 
 def test_report_files(tmp_path, geometry):
-    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 4, 2)
+    report = fc.convergence_sweep(geometry, [0.4, 0.2], 16, 2)
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
     report.write_csv(csv_path, "cafe")

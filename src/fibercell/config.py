@@ -57,6 +57,11 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    # bool subclasses int, but a JSON true/false is not a number
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def validate_config(doc: dict) -> RunConfig:
     """Validate a raw JSON document against the schema and defaults."""
     merged = asdict(RunConfig())
@@ -64,24 +69,24 @@ def validate_config(doc: dict) -> RunConfig:
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
     merged.update(doc)
 
-    _require(isinstance(merged["n_div"], int) and merged["n_div"] >= 8,
+    _require(_is_number(merged["n_div"], int) and merged["n_div"] >= 8,
              f"n_div: must be an integer >= 8, got {merged['n_div']!r}")
     for key in ("side", "radius", "height", "eig_tol", "root_tol"):
-        _require(isinstance(merged[key], (int, float)) and merged[key] > 0,
+        _require(_is_number(merged[key]) and merged[key] > 0,
                  f"{key}: must be positive, got {merged[key]!r}")
         merged[key] = float(merged[key])
     for key in ("j_max", "k_total", "n_terms"):
-        _require(isinstance(merged[key], int) and merged[key] >= 1,
+        _require(_is_number(merged[key], int) and merged[key] >= 1,
                  f"{key}: must be a positive integer, got {merged[key]!r}")
     _require(merged["n_terms"] >= 50,
              f"n_terms: must be >= 50, got {merged['n_terms']}")
     center = merged["center"]
     _require(isinstance(center, (list, tuple)) and len(center) == 2
-             and all(isinstance(v, (int, float)) for v in center),
+             and all(_is_number(v) for v in center),
              f"center: must be a pair of numbers, got {center!r}")
     eps_list = merged["eps_list"]
     _require(isinstance(eps_list, list) and len(eps_list) >= 1
-             and all(isinstance(v, (int, float)) and 0 < v <= 1 for v in eps_list),
+             and all(_is_number(v) and 0 < v <= 1 for v in eps_list),
              f"eps_list: must be a nonempty list of values in (0, 1], got {eps_list!r}")
     _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
              f"eps_list: must be strictly decreasing, got {eps_list}")

@@ -3,11 +3,13 @@
 The production path is ARPACK (``scipy.sparse.linalg.eigsh``) in
 shift-invert mode at sigma = 0: implicitly restarted Lanczos on K^-1 M in
 the M-inner product, whose largest Ritz values are the reciprocals of the
-smallest pencil eigenvalues.  It starts from the all-ones vector, and a
-seeded complement probe recovers degenerate copies a single Krylov space
-misses.  Every returned pair passes an explicit residual check.  A dense
-reduce-and-QR oracle covers every pencil small enough to afford it and
-cross-checks the iterative path in the validation suite.
+smallest pencil eigenvalues.  The first round starts from the all-ones
+vector; seeded rounds on the projected solve recover degenerate copies a
+single Krylov space misses, and one Rayleigh-Ritz step on everything
+accepted gives the pairs.  Every returned pair passes an explicit residual
+check.  A dense LAPACK oracle (``scipy.linalg.eigh``) covers every pencil
+small enough to afford it and cross-checks the iterative path in the
+validation suite.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
 logger = logging.getLogger(__name__)
 
 DENSE_ORACLE_MAX_N = 2000
-_CLUSTER_REL_GAP = 1e-10
 _PROBE_ROUNDS = 6
 
 
@@ -70,7 +71,6 @@ class SPDFactor:
             raise NotSPDError("non-positive pivot: matrix is not SPD "
                               "(check gamma > 0 or the assembly)")
         self.pivots = pivots
-        self.n = K.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(b)
@@ -107,21 +107,21 @@ def dense_eigen_oracle(K, M, count: int = None):
         raise NotSPDError(f"mass matrix is not SPD: {exc}") from exc
 
 
-def _m_dot(M, x, y):
-    return float(x @ (M @ y))
-
-
 def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
     """k smallest eigenpairs of the SPD pencil (K, M), ascending.
 
-    ARPACK in shift-invert mode at sigma = 0, with K^-1 applied through the
-    SPD factorization, from the all-ones start vector.  A Krylov space
-    carries one vector per eigenspace, so a seeded complement probe then
-    runs ARPACK on the solve projected M-orthogonally to the accepted
-    vectors until no new eigenvalue appears below the k-th one.
-    Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol`` and are
-    pairwise M-orthonormal; otherwise, or when the last of the six probe
-    rounds still finds a new eigenvalue, EigenConvergenceError is raised.
+    Up to seven rounds of ARPACK in shift-invert mode at sigma = 0, with
+    K^-1 applied through the SPD factorization.  Round 0 asks for k pairs
+    from the all-ones start vector.  A Krylov space carries one vector per
+    eigenspace, so each later round starts from a seeded random vector and
+    runs on the solve projected M-orthogonally to the accepted vectors V,
+    until a round finds no eigenvalue below the k-th accepted one.  One
+    Rayleigh-Ritz step on span(V), a dense eigh of (V^t K V, V^t M V), then
+    gives the k values and M-orthonormal vectors, with a deterministic
+    basis inside each degenerate eigenspace.
+    Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol``;
+    otherwise, or when the sixth projected round still finds a new
+    eigenvalue, EigenConvergenceError is raised.
     """
     n = K.shape[0]
     if k < 1:
@@ -132,39 +132,51 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
     M = M.tocsr() if sp.issparse(M) else sp.csr_matrix(M)
 
     rng = np.random.default_rng(20240817)
-    values, vectors = _arpack(K, M, factor.solve, k, tol, np.ones(n), rng)
-    for _ in range(_PROBE_ROUNDS):
-        extra = min(max(2, k // 2), n - len(values) - 1)
-        if extra < 1:
-            break
-        # P K^-1 P^t with P = I - V V^t M, the M-orthogonal projector onto
-        # the complement of the accepted vectors
-        V = np.column_stack(vectors)
-        MV = M @ V
+    values, V, kth = np.empty(0), np.empty((n, 0)), np.inf
+    for round_ in range(_PROBE_ROUNDS + 1):
+        if round_ == 0:
+            solve, count, start = factor.solve, k, np.ones(n)
+        else:
+            count = min(max(2, k // 2), n - len(values) - 1)
+            if count < 1:
+                break
+            # P K^-1 P^t with P = I - V V^t M, the M-orthogonal projector onto
+            # the complement of the accepted vectors
+            MV = M @ V
 
-        def projected_solve(b, V=V, MV=MV):
-            x = factor.solve(b - MV @ (V.T @ b))
-            return x - V @ (MV.T @ x)
+            def solve(b, V=V, MV=MV):
+                x = factor.solve(b - MV @ (V.T @ b))
+                return x - V @ (MV.T @ x)
 
-        kth = sorted(values)[k - 1]
-        vals, vecs = _arpack(K, M, projected_solve, extra, tol,
-                             rng.standard_normal(n), rng)
-        below = [i for i, val in enumerate(vals) if val < kth * (1 + 1e-8)]
-        if not below:
+            kth = np.sort(values)[k - 1]
+            start = rng.standard_normal(n)
+        # ARPACK stops on a Ritz estimate for K^-1 M, not on the pencil
+        # residual, so it runs at a tenth of tol; rng seeds the vectors it
+        # draws when its Krylov space becomes invariant
+        op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
+        try:
+            vals, vecs = eigsh(K, count, M=M, sigma=0.0, OPinv=op_inv,
+                               v0=start, tol=0.1 * tol, rng=rng)
+        except ArpackNoConvergence as exc:
+            raise EigenConvergenceError(
+                f"only {len(exc.eigenvalues)} of {count} eigenpairs "
+                f"converged") from exc
+        logger.debug("arpack round %d k=%d values %s", round_, count, vals)
+        below = vals < kth * (1 + 1e-8)
+        if not below.any():
             break
-        values += [vals[i] for i in below]
-        vectors += [vecs[i] for i in below]
+        values = np.concatenate((values, vals[below]))
+        V = np.column_stack((V, vecs[:, below]))
     else:
         raise EigenConvergenceError(
             f"complement probe still found eigenvalues below the k-th "
             f"({kth:.10g}) after {_PROBE_ROUNDS} rounds")
 
-    order = np.argsort(values)[:k]
-    values, vectors = _orthonormalize_clusters(
-        M, [values[i] for i in order], [vectors[i] for i in order])
+    values, C = scipy.linalg.eigh(V.T @ (K @ V), V.T @ (M @ V),
+                                  subset_by_index=[0, k - 1])
     out = []
-    for val, vec in zip(values, vectors):
-        vec = _fix_sign(vec)
+    for val, c in zip(values, C.T):
+        vec = _fix_sign(V @ c)
         Kv = K @ vec
         res = float(np.linalg.norm(Kv - val * (M @ vec)) / np.linalg.norm(Kv))
         if res > tol:
@@ -173,54 +185,6 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
                 f"eigenvalue {val:.10g}")
         out.append(EigenPair(value=float(val), vector=vec, residual=res))
     return out
-
-
-def _arpack(K, M, solve, k, tol, start, rng):
-    """k eigenpairs of (K, M) nearest zero by ARPACK shift-invert, with
-    ``solve`` applying K^-1 (or its projection); values and vectors as lists.
-
-    ARPACK stops on a Ritz estimate for K^-1 M, not on the pencil residual,
-    so it runs at a tenth of ``tol`` and the caller checks the residual.
-    ``rng`` seeds the vectors ARPACK draws when its Krylov space becomes
-    invariant, which keeps the result deterministic.
-    """
-    n = K.shape[0]
-    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
-    try:
-        values, vectors = eigsh(K, k, M=M, sigma=0.0, OPinv=op_inv, v0=start,
-                                tol=0.1 * tol, rng=rng)
-    except ArpackNoConvergence as exc:
-        raise EigenConvergenceError(
-            f"only {len(exc.eigenvalues)} of {k} eigenpairs converged") from exc
-    logger.debug("arpack k=%d values %s", k, values)
-    return list(values), list(vectors.T)
-
-
-def _orthonormalize_clusters(M, values, vectors):
-    """M-re-orthonormalize within near-degenerate clusters and order each
-    cluster by the vectors' lexicographic signature (deterministic ties)."""
-    values = list(values)
-    vectors = [v.copy() for v in vectors]
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while (j < len(values)
-               and abs(values[j] - values[i]) <= _CLUSTER_REL_GAP
-               * max(1.0, abs(values[i]))):
-            j += 1
-        if j - i > 1:
-            block = vectors[i:j]
-            for a in range(len(block)):
-                for b in range(a):
-                    block[a] -= _m_dot(M, block[a], block[b]) * block[b]
-                block[a] /= np.sqrt(_m_dot(M, block[a], block[a]))
-            keyed = sorted(
-                ((tuple(np.round(_fix_sign(v), 12)), idx) for idx, v in enumerate(block)))
-            vectors[i:j] = [block[idx] for _, idx in keyed]
-        else:
-            vectors[i] /= np.sqrt(_m_dot(M, vectors[i], vectors[i]))
-        i = j
-    return values, vectors
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

@@ -190,12 +190,7 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, L: float,
     K3 = (sp.kron(operators.stiffness(1.0, eps ** -2), M1)
           + sp.kron(operators.mass(eps ** 2, 1.0), K1)).tocsr()
     M3 = sp.kron(operators.mass(1.0, 1.0), M1).tocsr()
-    n = K3.shape[0]
-    if n <= DENSE_ORACLE_MAX_N:
-        values, _ = dense_eigen_oracle(K3, M3)
-        return values[:k]
-    pairs = smallest_eigenpairs(K3, M3, k, tol=tol)
-    return np.array([p.value for p in pairs])
+    return _smallest_values(K3, M3, k, tol)
 
 
 def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, L: float,
@@ -212,15 +207,17 @@ def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, L: float,
     values = []
     for gamma in gammas:
         pencil = assemble_mode_pencil(mesh, eps, float(gamma), operators=operators)
-        n = pencil.K.shape[0]
-        if n <= DENSE_ORACLE_MAX_N:
-            vals, _ = dense_eigen_oracle(pencil.K, pencil.M, count=per_mode)
-            values.extend(vals)
-        else:
-            pairs = smallest_eigenpairs(pencil.K, pencil.M, per_mode, tol=tol)
-            values.extend(p.value for p in pairs)
+        values.extend(_smallest_values(pencil.K, pencil.M, per_mode, tol))
     values.sort()
     return np.array(values[:k])
+
+
+def _smallest_values(K, M, k: int, tol: float) -> np.ndarray:
+    """k smallest eigenvalues of the pencil: dense LAPACK when its size
+    allows it, the ARPACK shift-invert solve otherwise."""
+    if K.shape[0] <= DENSE_ORACLE_MAX_N:
+        return dense_eigen_oracle(K, M, count=k)[0]
+    return np.array([p.value for p in smallest_eigenpairs(K, M, k, tol=tol)])
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,17 @@ def test_field_level_messages():
         validate_config({"n_terms": 10})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("side", True), ("radius", True), ("height", True), ("eig_tol", True),
+    ("root_tol", True), ("j_max", True), ("k_total", True),
+    ("n_terms", True), ("center", [True, 0.5]), ("eps_list", [True]),
+])
+def test_boolean_is_not_a_number(key, value):
+    # bool subclasses int, so eig_tol=true would pass as a 1.0 tolerance
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        validate_config({key: value})
+
+
 def test_config_hash_stability():
     assert RunConfig().config_hash() == RunConfig().config_hash()
     assert RunConfig().config_hash() != RunConfig(radius=0.2).config_hash()

@@ -86,6 +86,13 @@ def test_lanczos_matches_dense_on_mode_pencil(geometry, mesh16):
             assert abs(pair.value - ref) <= max(1e-9, 1e-9 * abs(ref))
     assert values[6] == pytest.approx(652.352, rel=1e-6)
     assert values[7] == pytest.approx(values[6], rel=1e-10)
+    # the degenerate pair stays M-orthonormal to the rest, and its basis
+    # inside the eigenspace is reproducible bit for bit
+    V = np.column_stack([p.vector for p in pairs])
+    assert np.allclose(V.T @ (pencil.M @ V), np.eye(k), rtol=0, atol=1e-8)
+    again = fc.smallest_eigenpairs(pencil.K, pencil.M, k)
+    assert [p.value for p in again] == [p.value for p in pairs]
+    assert np.array_equal(np.column_stack([p.vector for p in again]), V)
 
 
 def test_accepted_pairs_meet_contract(mesh16):

@@ -30,7 +30,7 @@ for row in report.rows:
     rank_gap = abs(row.lambda_eps - roots[row.k - 1].lam)
     print(f"{row.eps:>5.2f} {row.k:>2} {f'({row.j},{row.rank})':>8} "
           f"{row.lambda_eps:>12.6f} {row.slack:>10.3e} {rank_gap:>12.4e} "
-          f"{row.e_fiber:>10.3e} {row.e_matrix:>10.3e}")
+          f"{row.e_F:>10.3e} {row.e_M:>10.3e}")
 
 report.write_csv("convergence.csv")
 report.write_json("convergence.json")

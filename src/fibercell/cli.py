@@ -2,10 +2,9 @@
 
 Commands: ``mesh | limit-spectrum | eps-spectrum | converge | validate``.
 All numeric parameters come from the JSON config (``--config``); flags only
-pick the command and the output directory.  ``--threads`` is accepted and
-ignored: ``converge`` runs its eps values one after another.  Exit codes: 0
-success, 1 compute failure, 2 usage error.  Failures emit one JSON object
-on stderr so scripted callers can parse them.
+pick the command and the output directory.  Exit codes: 0 success, 1
+compute failure, 2 usage error.  Failures emit one JSON object on stderr
+so scripted callers can parse them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import sys
 import numpy as np
 
 from .assembly import CellOperators
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config, write_json, write_table
 from .eigensolve import (DENSE_ORACLE_MAX_N, dense_eigen_oracle,
                          smallest_eigenpairs)
 from .limit import (DispersionParams, limit_eigenvalues, mean_u0_closed,
@@ -38,8 +37,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="ignored; kept so that existing scripts still run")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -71,13 +68,11 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
     if name == "mesh":
         mesh = generate_mesh(geometry, config.n_div)
         write_mesh(mesh, os.path.join(out, "mesh.txt"))
-        with open(os.path.join(out, "mesh.meta.json"), "w") as fh:
-            json.dump({"config_hash": tag, "mesh_hash": mesh.content_hash(),
-                       "n_vertices": len(mesh.vertices),
-                       "n_triangles": len(mesh.triangles),
-                       "fiber_area": mesh.fiber_area()}, fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out, "mesh.meta.json"),
+                   {"config_hash": tag, "mesh_hash": mesh.content_hash(),
+                    "n_vertices": len(mesh.vertices),
+                    "n_triangles": len(mesh.triangles),
+                    "fiber_area": mesh.fiber_area()})
         return 0
 
     if name == "limit-spectrum":
@@ -88,33 +83,26 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
         return 0
 
     if name == "eps-spectrum":
-        eps = config.eps_list[0]
         mesh = generate_mesh(geometry, config.n_div)
-        merged = merged_spectrum(mesh, eps, config.k_total, L=geometry.height,
-                                 tol=config.eig_tol)
-        path = os.path.join(out, "eps_spectrum.csv")
-        with open(path, "w") as fh:
-            fh.write(f"# config_hash={tag}\n")
-            fh.write("k,j,rank,lambda_eps,residual\n")
-            for k, entry in enumerate(merged, start=1):
-                fh.write(f"{k},{entry.j},{entry.rank},{entry.value:.17g},"
-                         f"{entry.pair.residual:.17g}\n")
+        merged = merged_spectrum(mesh, config.eps_list[0], config.k_total,
+                                 L=geometry.height, tol=config.eig_tol)
+        write_table(os.path.join(out, "eps_spectrum.csv"),
+                    ("k", "j", "rank", "lambda_eps", "residual"),
+                    ((k, entry.j, entry.rank, entry.value, entry.pair.residual)
+                     for k, entry in enumerate(merged, start=1)), tag)
         return 0
 
     if name == "converge":
         report = convergence_sweep(geometry, config.eps_list, config.n_div,
-                                   config.k_total, n_terms=config.n_terms,
-                                   eig_tol=config.eig_tol)
+                                   config.k_total, eig_tol=config.eig_tol)
         report.write_csv(os.path.join(out, "convergence.csv"), tag)
         report.write_json(os.path.join(out, "convergence.json"), tag)
         return 0
 
     # validate: oracle equivalences; nonzero exit on any failure
     failures = _run_validation(config, geometry)
-    with open(os.path.join(out, "validate.json"), "w") as fh:
-        json.dump({"config_hash": tag, "failures": failures,
-                   "passed": not failures}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "validate.json"),
+               {"config_hash": tag, "failures": failures, "passed": not failures})
     if failures:
         raise RuntimeError("validation failed: " + "; ".join(failures))
     return 0

@@ -4,7 +4,8 @@ Numeric-heavy runs are configured by a JSON file rather than flags; the
 command line only selects the command and the config path.  Unknown keys
 are rejected so typos cannot silently fall back to defaults, and the
 SHA-256 of the canonical defaults-filled document stamps every output
-file so results stay traceable to their configuration.
+file so results stay traceable to their configuration.  Every result
+file is written by ``write_table`` or ``write_json``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,26 @@ class RunConfig:
         doc.pop("out_dir")
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def write_table(path, header, rows, config_hash: str = "") -> None:
+    """CSV result file: a ``# config_hash=`` line when a hash is given, the
+    header, then one line per row; ints as they are, floats to 17
+    significant digits, so every double reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        if config_hash:
+            fh.write(f"# config_hash={config_hash}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else f"{v:.17g}"
+                              for v in row) + "\n")
+
+
+def write_json(path, payload: dict) -> None:
+    """JSON result file: keys sorted, two-space indent, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _require(cond: bool, message: str) -> None:

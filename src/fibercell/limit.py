@@ -27,15 +27,14 @@ evaluates none and so does not pay for that import.
 
 from __future__ import annotations
 
-import csv
 import functools
 import importlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import write_json, write_table
 from .geometry import CellGeometry
 
 J01 = 2.404825557695773   # first zero of J0, correctly rounded
@@ -299,25 +298,18 @@ def limit_eigenfunction(root: LimitRoot, params: DispersionParams) -> LimitEigen
 
 def write_roots_csv(roots, params: DispersionParams, path,
                     config_hash: str = "") -> None:
-    """CSV export ``j, gamma_j, lambda_k, S, delta_check`` (17 significant
-    digits; delta_check re-evaluates delta at the root)."""
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["j", "gamma_j", "lambda_k", "S", "delta_check"])
-        for root in roots:
-            writer.writerow([root.j,
-                             f"{root.gamma_j:.17g}",
-                             f"{root.lam:.17g}",
-                             f"{root.mean_u0:.17g}",
-                             f"{delta(root.lam, params):.17g}"])
+    """CSV export ``j, gamma_j, lambda_k, S, delta_check`` (delta_check
+    re-evaluates delta at the root)."""
+    write_table(path, ("j", "gamma_j", "lambda_k", "S", "delta_check"),
+                ((root.j, root.gamma_j, root.lam, root.mean_u0,
+                  delta(root.lam, params)) for root in roots),
+                config_hash)
 
 
 def write_roots_json(roots, params: DispersionParams, path,
                      config_hash: str = "") -> None:
     """Full LimitRoot records plus the dispersion constants."""
-    payload = {
+    write_json(path, {
         "config_hash": config_hash,
         "mu1": params.mu1,
         "lambda0": params.lambda0,
@@ -330,10 +322,7 @@ def write_roots_json(roots, params: DispersionParams, path,
              "mean_u0": root.mean_u0, "bracket_width": root.bracket_width,
              "delta_check": delta(root.lam, params)}
             for root in roots],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _check_lambda(lam: float, mu1: float) -> None:

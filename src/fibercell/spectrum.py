@@ -12,10 +12,8 @@ bound slack, the limit gap and the eigenvector structure errors.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +21,7 @@ import scipy.sparse as sp
 from . import __version__ as _pkg_version
 from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
                        assemble_mode_pencil)
+from .config import write_json as _write_json, write_table
 from .eigensolve import (EigenPair, dense_eigen_oracle, smallest_eigenpairs,
                          DENSE_ORACLE_MAX_N)
 from .geometry import CellGeometry
@@ -57,6 +56,9 @@ class MergedEigenvalue:
 
 @dataclass
 class ReportRow:
+    """One row of the convergence table.  The fields are the keys of a
+    JSON row; all but ``rank`` are the CSV columns, in this order."""
+
     eps: float
     k: int
     j: int
@@ -66,8 +68,11 @@ class ReportRow:
     slack: float
     lambda_limit: float
     gap: float
-    e_fiber: float
-    e_matrix: float
+    e_F: float
+    e_M: float
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(ReportRow) if f.name != "rank")
 
 
 @dataclass
@@ -86,39 +91,14 @@ class ConvergenceReport:
     reorderings: list = field(default_factory=list)
 
     def write_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["eps", "k", "j", "lambda_eps", "bound", "slack",
-                             "lambda_limit", "gap", "e_F", "e_M"])
-            for row in self.rows:
-                writer.writerow([f"{row.eps:.17g}", row.k, row.j,
-                                 f"{row.lambda_eps:.17g}", f"{row.bound:.17g}",
-                                 f"{row.slack:.17g}", f"{row.lambda_limit:.17g}",
-                                 f"{row.gap:.17g}", f"{row.e_fiber:.17g}",
-                                 f"{row.e_matrix:.17g}"])
+        cells = ([getattr(row, name) for name in _CSV_COLUMNS] for row in self.rows)
+        write_table(path, _CSV_COLUMNS, cells, config_hash)
 
     def write_json(self, path, config_hash: str = "") -> None:
-        payload = {
-            "config_hash": config_hash,
-            "version": _pkg_version,
-            "mesh_hash": self.mesh_hash,
-            "n_div": self.n_div,
-            "mu1_exact": self.mu1_exact,
-            "mu1_discrete": self.mu1_discrete,
-            "c_h": self.c_h,
-            "eig_tol": self.eig_tol,
-            "reorderings": self.reorderings,
-            "rows": [{"eps": r.eps, "k": r.k, "j": r.j, "rank": r.rank,
-                      "lambda_eps": r.lambda_eps, "bound": r.bound,
-                      "slack": r.slack, "lambda_limit": r.lambda_limit,
-                      "gap": r.gap, "e_F": r.e_fiber, "e_M": r.e_matrix}
-                     for r in self.rows],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # the geometry is behind config_hash; lambda_limit carries the roots
+        payload = asdict(self)
+        del payload["geometry"], payload["roots"]
+        _write_json(path, dict(payload, config_hash=config_hash, version=_pkg_version))
 
 
 def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
@@ -253,7 +233,7 @@ def midpoint_rule(mesh: TriMesh) -> MidpointRule:
 
 
 def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh,
-                      L: float = None, rule: MidpointRule = None):
+                      rule: MidpointRule = None):
     """L2 errors of the separated FEM field against the limit eigenvector.
 
     The FEM pair is scale/sign-aligned to the limit field by the full-cell
@@ -288,8 +268,7 @@ def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
 
 
 def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
-                      k_total: int, n_terms: int = 500,
-                      eig_tol: float = 1e-9,
+                      k_total: int, eig_tol: float = 1e-9,
                       mesh: TriMesh = None) -> ConvergenceReport:
     """Full epsilon sweep against the limit spectrum.
 
@@ -306,7 +285,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
         raise ValueError("eps_list must be strictly decreasing")
     if mesh is None:
         mesh = generate_mesh(geometry, n_div)
-    params = DispersionParams(geometry=geometry, n_terms=n_terms)
+    params = DispersionParams(geometry=geometry)
     roots = {root.j: root for root in limit_eigenvalues(params, k_total)}
     mu1_h = discrete_disk_mu1(mesh, tol=eig_tol)
     c_h = mu1_h - params.mu1
@@ -322,14 +301,13 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
             lam0_k = (k * math.pi / L) ** 2
             bound = params.mu1 + eps ** 2 * lam0_k
             root = roots[entry.j]
-            err_f, err_m = eigenvector_error(entry.pair, entry.j, root, mesh, L,
-                                             rule=rule)
+            err_f, err_m = eigenvector_error(entry.pair, entry.j, root, mesh, rule=rule)
             rows.append(ReportRow(
                 eps=eps, k=k, j=entry.j, rank=entry.rank,
                 lambda_eps=entry.value, bound=bound,
                 slack=bound - entry.value, lambda_limit=root.lam,
                 gap=abs(entry.value - root.lam),
-                e_fiber=err_f, e_matrix=err_m))
+                e_F=err_f, e_M=err_m))
             if entry.rank == 1 and entry.j != k:
                 reorderings.append({"eps": eps, "k": k, "j": entry.j})
 

@@ -117,8 +117,8 @@ def test_criterion_8_eigenvector_structure(sweep, params):
     report, _ = sweep
     eps_order = sorted({row.eps for row in report.rows}, reverse=True)
     ground = {row.eps: row for row in report.rows if row.k == 1}
-    e_m = [ground[eps].e_matrix for eps in eps_order]
-    e_f = [ground[eps].e_fiber for eps in eps_order]
+    e_m = [ground[eps].e_M for eps in eps_order]
+    e_f = [ground[eps].e_F for eps in eps_order]
     assert all(b < a for a, b in zip(e_m, e_m[1:])), f"e_M not decreasing: {e_m}"
     assert all(b < a for a, b in zip(e_f, e_f[1:])), f"e_F not decreasing: {e_f}"
     # continuity of the reconstructed field across the interface is exact

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fibercell as fc
 from fibercell import ConfigError, RunConfig, parse_config, validate_config
 from fibercell.cli import main
 
@@ -109,7 +110,7 @@ def test_cli_limit_spectrum_and_reproducibility(tmp_path):
 def test_cli_eps_spectrum(tmp_path):
     out = tmp_path / "out"
     code = main(["eps-spectrum", "--config", _fast_config(tmp_path),
-                 "--out", str(out), "--threads", "2"])
+                 "--out", str(out)])
     assert code == 0
     lines = (out / "eps_spectrum.csv").read_text().splitlines()
     assert lines[1] == "k,j,rank,lambda_eps,residual"
@@ -119,22 +120,23 @@ def test_cli_eps_spectrum(tmp_path):
 def test_cli_converge(tmp_path):
     out = tmp_path / "out"
     code = main(["converge", "--config", _fast_config(tmp_path),
-                 "--out", str(out), "--threads", "2"])
+                 "--out", str(out)])
     assert code == 0
     assert (out / "convergence.csv").exists()
     assert (out / "convergence.json").exists()
 
 
 def test_cli_converge_ignores_j_max(tmp_path):
-    # the merge needs modes 1..k_total only; j_max is no cap on it
-    rows = {}
-    for j_max in (1, 8):
-        out = tmp_path / f"j{j_max}"
-        cfg = _fast_config(tmp_path, j_max=j_max, k_total=4)
+    # the merge needs modes 1..k_total only, so j_max is no cap on it; and
+    # n_terms sizes only the S(lambda) series, which converge never sums
+    rows = []
+    for key, value in (("j_max", 1), ("j_max", 8), ("n_terms", 50), ("n_terms", 500)):
+        out = tmp_path / f"{key}{value}"
+        cfg = _fast_config(tmp_path, k_total=4, **{key: value})
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
-        rows[j_max] = (out / "convergence.csv").read_text().splitlines()[1:]
-    assert len(rows[1]) == 1 + 2 * 4
-    assert rows[1] == rows[8]
+        rows.append((out / "convergence.csv").read_text().splitlines()[1:])
+    assert len(rows[0]) == 1 + 2 * 4
+    assert all(other == rows[0] for other in rows[1:])
 
 
 def test_cli_validate_passes(tmp_path):
@@ -167,3 +169,83 @@ def test_cli_compute_failure_exit_code(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"] == "compute"
+
+
+CONVERGENCE_CSV = """\
+# config_hash=cafe
+eps,k,j,lambda_eps,bound,slack,lambda_limit,gap,e_F,e_M
+0.10000000000000001,1,1,12.5,20,7.5,0.33333333333333331,9.9999999999999995e-21,0.25,0.002
+0.10000000000000001,2,1,40.125,61,20.875,0.66666666666666663,2.9999999999999998e-15,0.5,1
+"""
+
+CONVERGENCE_JSON = """\
+{
+  "c_h": 0.5,
+  "config_hash": "cafe",
+  "eig_tol": 1e-09,
+  "mesh_hash": "abc",
+  "mu1_discrete": 93.0,
+  "mu1_exact": 92.5,
+  "n_div": 16,
+  "reorderings": [
+    {
+      "eps": 0.1,
+      "j": 1,
+      "k": 2
+    }
+  ],
+  "rows": [
+    {
+      "bound": 20.0,
+      "e_F": 0.25,
+      "e_M": 0.002,
+      "eps": 0.1,
+      "gap": 1e-20,
+      "j": 1,
+      "k": 1,
+      "lambda_eps": 12.5,
+      "lambda_limit": 0.3333333333333333,
+      "rank": 1,
+      "slack": 7.5
+    },
+    {
+      "bound": 61.0,
+      "e_F": 0.5,
+      "e_M": 1.0,
+      "eps": 0.1,
+      "gap": 3e-15,
+      "j": 1,
+      "k": 2,
+      "lambda_eps": 40.125,
+      "lambda_limit": 0.6666666666666666,
+      "rank": 2,
+      "slack": 20.875
+    }
+  ],
+  "version": "0.1.0"
+}
+"""
+
+
+def test_result_file_format(tmp_path, geometry, params):
+    # CSV: ints as they are, floats to 17 significant digits; JSON: sorted
+    # keys, two-space indent, shortest float repr; both end in a newline
+    rows = [fc.ReportRow(eps=0.1, k=1, j=1, rank=1, lambda_eps=12.5, bound=20.0,
+                         slack=7.5, lambda_limit=1 / 3, gap=1e-20, e_F=0.25, e_M=2e-3),
+            fc.ReportRow(eps=0.1, k=2, j=1, rank=2, lambda_eps=40.125, bound=61.0,
+                         slack=20.875, lambda_limit=2 / 3, gap=3e-15, e_F=0.5, e_M=1.0)]
+    report = fc.ConvergenceReport(rows=rows, geometry=geometry, n_div=16,
+                                  mu1_exact=92.5, mu1_discrete=93.0, c_h=0.5,
+                                  roots=[], mesh_hash="abc", eig_tol=1e-9,
+                                  reorderings=[{"eps": 0.1, "k": 2, "j": 1}])
+    report.write_csv(tmp_path / "convergence.csv", "cafe")
+    report.write_json(tmp_path / "convergence.json", "cafe")
+    assert (tmp_path / "convergence.csv").read_bytes() == CONVERGENCE_CSV.encode()
+    assert (tmp_path / "convergence.json").read_bytes() == CONVERGENCE_JSON.encode()
+
+    roots = fc.limit_eigenvalues(params, 3)
+    fc.write_roots_csv(roots, params, tmp_path / "limit_roots.csv", "cafe")
+    lines = (tmp_path / "limit_roots.csv").read_text().split("\n")
+    assert lines == ["# config_hash=cafe", "j,gamma_j,lambda_k,S,delta_check"] + [
+        f"{root.j},{root.gamma_j:.17g},{root.lam:.17g},{root.mean_u0:.17g},"
+        f"{fc.delta(root.lam, params):.17g}" for root in roots] + [""]

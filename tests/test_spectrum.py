@@ -157,7 +157,7 @@ def test_eigenvector_error_decreases_with_eps(mesh16, params):
     errs = []
     for eps in (0.4, 0.2, 0.1):
         spec = fc.mode_spectrum(mesh16, eps, 1, 1.0, 1)
-        errs.append(fc.eigenvector_error(spec.pairs[0], 1, root, mesh16, 1.0))
+        errs.append(fc.eigenvector_error(spec.pairs[0], 1, root, mesh16))
     e_f = [e[0] for e in errs]
     e_m = [e[1] for e in errs]
     assert e_m[0] > e_m[1] > e_m[2]
@@ -169,7 +169,7 @@ def test_uniform_ground_state_matrix_error_small(mesh16, params):
     # matches the vertical mode up to scaling
     root = fc.limit_eigenvalues(params, 1)[0]
     spec = fc.mode_spectrum(mesh16, 1.0, 1, 1.0, 1)
-    _, e_m = fc.eigenvector_error(spec.pairs[0], 1, root, mesh16, 1.0)
+    _, e_m = fc.eigenvector_error(spec.pairs[0], 1, root, mesh16)
     assert e_m < 0.05
 
 
@@ -185,9 +185,9 @@ def test_eigenvector_error_pinned(mesh16, params, j, e_f, e_m):
     x, y = mesh16.vertices[:, 0], mesh16.vertices[:, 1]
     w = 1.0 + 0.3 * np.cos(2 * np.pi * j * x) * np.sin(np.pi * y) + 0.2 * (x - 0.5) ** 2
     pair = fc.EigenPair(value=root.lam, vector=w, residual=0.0)
-    got = fc.eigenvector_error(pair, j, root, mesh16, 1.0)
+    got = fc.eigenvector_error(pair, j, root, mesh16)
     assert got == pytest.approx((e_f, e_m), rel=1e-12, abs=0)
-    shared = fc.eigenvector_error(pair, j, root, mesh16, 1.0,
+    shared = fc.eigenvector_error(pair, j, root, mesh16,
                                   rule=fc.midpoint_rule(mesh16))
     assert shared == got
 
@@ -208,7 +208,7 @@ def test_eigenvector_error_label_mismatch(mesh16, params):
     root = fc.limit_eigenvalues(params, 2)[1]
     spec = fc.mode_spectrum(mesh16, 0.2, 1, 1.0, 1)
     with pytest.raises(ValueError):
-        fc.eigenvector_error(spec.pairs[0], 1, root, mesh16, 1.0)
+        fc.eigenvector_error(spec.pairs[0], 1, root, mesh16)
 
 
 def test_same_pencil_eigenvectors_m_orthogonal(mesh16):

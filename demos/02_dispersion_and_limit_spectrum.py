@@ -41,7 +41,7 @@ for root in roots[:8] + roots[-2:]:
 print(f"...\naccumulation: mu1 - lambda_50 = "
       f"{100 * (params.mu1 - roots[-1].lam) / params.mu1:.3f}% of mu1")
 
-field = fc.limit_eigenfunction(roots[0], params)
+field = fc.LimitEigenfunction(root=roots[0], params=params)
 print(f"\nground-state limit eigenvector: fiber amplification at the disk "
       f"center = {field.fiber_profile(0.0):.4f}, boundary value = "
       f"{field.fiber_profile(r):.1f} (continuity across the interface)")

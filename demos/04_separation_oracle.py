@@ -21,8 +21,8 @@ print(f"mesh 24^2 ({len(mesh.vertices)} vertices) x {n1d} vertical intervals "
 
 for eps in (1.0, 0.2):
     t0 = time.time()
-    v3 = fc.kron_3d_oracle(mesh, n1d, eps, geometry.height, 10)
-    vm = fc.discrete_mode_merge(mesh, n1d, eps, geometry.height, 10)
+    v3 = fc.kron_3d_oracle(mesh, n1d, eps, 10)
+    vm = fc.discrete_mode_merge(mesh, n1d, eps, 10)
     rel = np.max(np.abs(v3 - vm) / np.abs(vm))
     print(f"\neps = {eps} ({time.time() - t0:.1f} s): "
           f"max relative difference {rel:.2e}")

@@ -19,9 +19,9 @@ from .eigensolve import (EigenPair, NotSPDError, SPDFactor, cluster_widths,
                          dense_eigen_oracle, factorize_spd, smallest_eigenpairs)
 from .limit import (DispersionParams, LimitEigenfunction, LimitRoot,
                     bessel_j0, bessel_j0_zero, bessel_j0_zeros, bessel_j1, delta,
-                    disk_radial_eigendata, limit_eigenfunction,
-                    limit_eigenvalues, mean_u0_closed, mean_u0_series,
-                    mu0_lower_bound, u0_eval, write_roots_csv, write_roots_json)
+                    disk_radial_eigendata, limit_eigenvalues, mean_u0_closed,
+                    mean_u0_series, mu0_lower_bound, u0_eval, write_roots_csv,
+                    write_roots_json)
 from .spectrum import (ConvergenceReport, MergedEigenvalue, MidpointRule,
                        ModeSpectrum, ReportRow, convergence_sweep,
                        discrete_disk_mu1, discrete_mode_merge, eigenvector_error,

@@ -20,7 +20,7 @@ from .mesh import FIBER, TriMesh
 
 @dataclass(frozen=True)
 class ModePencil:
-    """Generalized pencil (K, M) of one vertical mode.
+    """Generalized pencil of one vertical mode: the matrices K and M.
 
     K = stiffness(1, eps^-2) + gamma * mass(eps^2, 1), M = mass(1, 1), where
     the weight pairs are (fiber, matrix).
@@ -28,9 +28,6 @@ class ModePencil:
 
     K: sp.csr_matrix
     M: sp.csr_matrix
-    eps: float
-    gamma: float
-    mesh: TriMesh
 
 
 def _element_geometry(mesh: TriMesh):
@@ -71,7 +68,6 @@ class CellOperators:
         # ``slot`` sends every local entry to its place in ``data``
         keys, slot = np.unique(np.repeat(tri, 3, axis=1).ravel() * n
                                + np.tile(tri, (1, 3)).ravel(), return_inverse=True)
-        self.mesh = mesh
         self.shape = (n, n)
         # every operator shares these two arrays, so nothing may sort them
         self.indices = (keys % n).astype(np.int32)
@@ -113,8 +109,7 @@ class CellOperators:
         K = self._csr(self.stiff_fiber + eps ** -2 * self.stiff_matrix
                       + gamma * (eps ** 2 * self.mass_fiber + self.mass_matrix))
         M = self._csr(self.mass_fiber + self.mass_matrix)
-        return ModePencil(K=K, M=M, eps=float(eps), gamma=float(gamma),
-                          mesh=self.mesh)
+        return ModePencil(K=K, M=M)
 
 
 def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,

@@ -85,7 +85,7 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
     if name == "eps-spectrum":
         mesh = generate_mesh(geometry, config.n_div)
         merged = merged_spectrum(mesh, config.eps_list[0], config.k_total,
-                                 L=geometry.height, tol=config.eig_tol)
+                                 tol=config.eig_tol)
         write_table(os.path.join(out, "eps_spectrum.csv"),
                     ("k", "j", "rank", "lambda_eps", "residual"),
                     ((k, entry.j, entry.rank, entry.value, entry.pair.residual)
@@ -125,9 +125,8 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
     coarse = generate_mesh(geometry, 12)
     operators = CellOperators(coarse)
     for eps in (1.0, 0.2):
-        v3 = kron_3d_oracle(coarse, 8, eps, geometry.height, 8, operators=operators)
-        vm = discrete_mode_merge(coarse, 8, eps, geometry.height, 8,
-                                 operators=operators)
+        v3 = kron_3d_oracle(coarse, 8, eps, 8, operators=operators)
+        vm = discrete_mode_merge(coarse, 8, eps, 8, operators=operators)
         rel = np.max(np.abs(v3 - vm) / np.abs(vm))
         if rel > 1e-9:
             failures.append(f"kron/merge mismatch {rel:.2e} at eps={eps}")

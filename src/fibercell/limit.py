@@ -183,8 +183,8 @@ def u0_eval(lam: float, rho, r: float):
 
 def delta(lam: float, params: DispersionParams) -> float:
     """Dispersion function delta(lambda) = c_coef*lambda
-    + cp_coef*lambda^2*S(lambda), strictly increasing on (0, mu1)."""
-    _check_lambda(lam, params.mu1)
+    + cp_coef*lambda^2*S(lambda), strictly increasing on (0, mu1);
+    ``mean_u0_closed`` checks that lambda lies there."""
     s_val = mean_u0_closed(lam, params.geometry.radius)
     return params.c_coef * lam + params.cp_coef * lam * lam * s_val
 
@@ -289,11 +289,6 @@ class LimitEigenfunction:
                          self.fiber_profile(np.minimum(rho, r)),
                          1.0)
         return horiz * self.vertical(x3)
-
-
-def limit_eigenfunction(root: LimitRoot, params: DispersionParams) -> LimitEigenfunction:
-    """Evaluator for the limit eigenvector attached to one root."""
-    return LimitEigenfunction(root=root, params=params)
 
 
 def write_roots_csv(roots, params: DispersionParams, path,

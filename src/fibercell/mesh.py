@@ -25,6 +25,7 @@ FIBER = 0
 MATRIX = 1
 
 MIN_ANGLE_FLOOR = 15.0
+_REPAIR_SWEEPS = 12    # edge-flip sweeps before the quality gate decides
 _SNAP_FRACTION = 0.25  # pass-1 snap band, relative to grid spacing
 
 
@@ -197,8 +198,7 @@ def mesh_quality(mesh) -> QualityReport:
                          h_max=float(lengths.max()))
 
 
-def generate_mesh(geometry: CellGeometry, n_div: int,
-                  min_angle: float = MIN_ANGLE_FLOOR) -> TriMesh:
+def generate_mesh(geometry: CellGeometry, n_div: int) -> TriMesh:
     """Generate the fitted, tagged triangulation.
 
     Parameters
@@ -206,16 +206,15 @@ def generate_mesh(geometry: CellGeometry, n_div: int,
     geometry : CellGeometry
     n_div : int
         Grid subdivisions per side, at least 8.
-    min_angle : float
-        Quality floor in degrees; violation raises MeshQualityError.
 
     Raises
     ------
     ValueError
         If n_div < 8.
     MeshQualityError
-        If snapping and repair leave an inverted or sub-`min_angle`
-        triangle; the message names the worst one.
+        If snapping and repair leave an inverted triangle or one with an
+        angle below ``MIN_ANGLE_FLOOR`` degrees; the message names the
+        worst one.
     """
     if n_div < 8:
         raise ValueError(f"n_div must be >= 8, got {n_div}")
@@ -225,18 +224,17 @@ def generate_mesh(geometry: CellGeometry, n_div: int,
     r = geometry.radius
 
     on_circle = _snap_to_circle(vertices, triangles, center, r, h, geometry.side)
-    triangles = _repair_triangles(vertices, triangles, on_circle, center, r, h,
-                                  min_angle)
+    triangles = _repair_triangles(vertices, triangles, on_circle, center, r, h)
 
     areas = signed_areas(vertices, triangles)
     angles = triangle_angles(vertices, triangles).min(axis=1)
-    if areas.min() <= 0.0 or angles.min() < min_angle:
+    if areas.min() <= 0.0 or angles.min() < MIN_ANGLE_FLOOR:
         worst = int(np.argmin(np.where(areas <= 0.0, -1.0, angles)))
         x, y = vertices[triangles[worst]].mean(axis=0)
         raise MeshQualityError(
             f"snapped mesh below the quality floor at n_div={n_div}, radius "
             f"{r:g}: triangle {worst} at centroid ({x:.6f}, {y:.6f}) has min "
-            f"angle {angles[worst]:.2f} deg (floor {min_angle:g}) and area "
+            f"angle {angles[worst]:.2f} deg (floor {MIN_ANGLE_FLOOR:g}) and area "
             f"{areas[worst]:.3e}")
 
     centroids = vertices[triangles].mean(axis=1)
@@ -304,8 +302,7 @@ def _snap_to_circle(vertices, triangles, center, r, h, side) -> np.ndarray:
     return on_circle
 
 
-def _repair_triangles(vertices, triangles, on_circle, center, r, h,
-                      min_angle, max_sweeps=12):
+def _repair_triangles(vertices, triangles, on_circle, center, r, h):
     """Edge-flip repair of snapping artifacts.
 
     Snapping can inscribe a whole triangle in the circle (three on-circle
@@ -326,9 +323,9 @@ def _repair_triangles(vertices, triangles, on_circle, center, r, h,
     def bad(t):
         return on_circle[t].all(axis=1) | (signed_areas(vertices, t) <= 0.0)
 
-    for _ in range(max_sweeps):
+    for _ in range(_REPAIR_SWEEPS):
         candidates = np.flatnonzero(
-            bad(tris) | (triangle_angles(vertices, tris).min(axis=1) < min_angle))
+            bad(tris) | (triangle_angles(vertices, tris).min(axis=1) < MIN_ANGLE_FLOOR))
         if not candidates.size:
             break
         keys = _edge_keys(tris, nv)
@@ -383,9 +380,10 @@ def write_mesh(mesh: TriMesh, path) -> None:
         np.savetxt(fh, np.column_stack([mesh.triangles, mesh.tags]), fmt="%d")
 
 
-def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
-    """Read the text format written by :func:`write_mesh`; ``n_div`` and ``h``
-    follow from the grid nodes on the bottom edge."""
+def read_mesh(path, geometry: CellGeometry) -> TriMesh:
+    """Read the text format written by :func:`write_mesh` for the cell
+    ``geometry``, which gives the interface and boundary nodes; ``n_div``
+    and ``h`` follow from the grid nodes on the bottom edge."""
     with open(path) as fh:
         nv, nt = map(int, fh.readline().split())
         vertices = np.loadtxt(fh, max_rows=nv, ndmin=2)
@@ -396,10 +394,8 @@ def read_mesh(path, geometry: CellGeometry = None) -> TriMesh:
     side = vertices[:, 0].max() - xmin
     n_div = int(np.count_nonzero(vertices[:, 1] - ymin <= 1e-12 * side)) - 1
     h = side / n_div
-    interface_nodes = boundary_nodes = np.array([], dtype=np.int64)
-    if geometry is not None:
-        interface_nodes, boundary_nodes = map(np.flatnonzero, _node_masks(
-            vertices, geometry.center, geometry.radius, geometry.side))
+    interface_nodes, boundary_nodes = map(np.flatnonzero, _node_masks(
+        vertices, geometry.center, geometry.radius, geometry.side))
     return TriMesh(vertices=vertices, triangles=triangles, tags=tags,
                    interface_nodes=interface_nodes, boundary_nodes=boundary_nodes,
                    geometry=geometry, h=h, n_div=n_div)

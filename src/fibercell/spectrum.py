@@ -31,13 +31,10 @@ from .mesh import FIBER, MATRIX, TriMesh, generate_mesh
 
 @dataclass
 class ModeSpectrum:
-    """Eigenpairs of one vertical mode's 2D pencil."""
+    """Eigenpairs of one vertical mode's 2D pencil, ascending; ``values``
+    lists their eigenvalues."""
 
-    eps: float
-    j: int
-    gamma: float
     pairs: list[EigenPair]
-    mesh: TriMesh
 
     @property
     def values(self) -> np.ndarray:
@@ -80,7 +77,6 @@ class ConvergenceReport:
     """Rows of the epsilon sweep plus the shared mesh/limit metadata."""
 
     rows: list[ReportRow]
-    geometry: CellGeometry
     n_div: int
     mu1_exact: float
     mu1_discrete: float
@@ -95,28 +91,28 @@ class ConvergenceReport:
         write_table(path, _CSV_COLUMNS, cells, config_hash)
 
     def write_json(self, path, config_hash: str = "") -> None:
-        # the geometry is behind config_hash; lambda_limit carries the roots
+        # lambda_limit carries the roots
         payload = asdict(self)
-        del payload["geometry"], payload["roots"]
+        del payload["roots"]
         _write_json(path, dict(payload, config_hash=config_hash, version=_pkg_version))
 
 
 def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
                   tol: float = 1e-9, operators: CellOperators = None) -> ModeSpectrum:
-    """k smallest eigenpairs of the pencil of vertical mode j, assembled
-    from ``operators`` (the mesh's CellOperators, built here if None)."""
+    """k smallest eigenpairs of the pencil of vertical mode j on a cell of
+    height L, assembled from ``operators`` (the mesh's CellOperators, built
+    here if None)."""
     if j < 1:
         raise ValueError("mode index j must be >= 1")
     gamma = (j * math.pi / L) ** 2
     pencil = assemble_mode_pencil(mesh, eps, gamma, operators=operators)
-    pairs = smallest_eigenpairs(pencil.K, pencil.M, k, tol=tol)
-    return ModeSpectrum(eps=eps, j=j, gamma=gamma, pairs=pairs, mesh=mesh)
+    return ModeSpectrum(pairs=smallest_eigenpairs(pencil.K, pencil.M, k, tol=tol))
 
 
-def merged_spectrum(mesh: TriMesh, eps: float, k_total: int,
-                    L: float = None, tol: float = 1e-9,
+def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
                     operators: CellOperators = None) -> list[MergedEigenvalue]:
-    """The k_total smallest values of the per-mode spectra, solved lazily.
+    """The k_total smallest values of the per-mode spectra, solved lazily;
+    the cell height is ``mesh.geometry.height``.
 
     Ties break by (value, j).  Mode pencils increase with j, so
     lambda_r(j) >= lambda_r(j-1): mode j solves only for as many pairs as
@@ -128,8 +124,6 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int,
     values seen so far bound the k-th merged value by mode k_total's own.
     Every mode pencil comes from ``operators`` (built here if None).
     """
-    if L is None:
-        L = mesh.geometry.height
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
     if operators is None:
@@ -138,7 +132,8 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int,
     merged: list[MergedEigenvalue] = []
     need = k_total
     for j in range(1, k_total + 1):
-        spec = mode_spectrum(mesh, eps, j, L, need, tol=tol, operators=operators)
+        spec = mode_spectrum(mesh, eps, j, mesh.geometry.height, need, tol=tol,
+                             operators=operators)
         merged += [MergedEigenvalue(value=pair.value, j=j, rank=rank, pair=pair)
                    for rank, pair in enumerate(spec.pairs, start=1)]
         merged.sort(key=lambda e: (e.value, e.j, e.rank))
@@ -149,14 +144,14 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int,
     return merged
 
 
-def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, L: float,
-                   k: int, tol: float = 1e-9,
+def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int,
                    operators: CellOperators = None) -> np.ndarray:
     """k smallest eigenvalues of the unseparated tensor-product pencil
 
         K3 = K2(1, eps^-2) x M1 + M2(eps^2, 1) x K1,   M3 = M2(1,1) x M1,
 
-    with the 2D factors from ``operators`` (built here if None).  Dense
+    with the 2D factors from ``operators`` (built here if None) and the 1D
+    factors on n1d intervals of the height ``mesh.geometry.height``.  Dense
     when the product size allows it, the ARPACK shift-invert solve of
     ``smallest_eigenpairs`` otherwise.
     """
@@ -166,38 +161,38 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, L: float,
         raise ValueError("3D oracle is restricted to n1d <= 32")
     if operators is None:
         operators = CellOperators(mesh)
-    K1, M1 = assemble_1d(n1d, L)
+    K1, M1 = assemble_1d(n1d, mesh.geometry.height)
     K3 = (sp.kron(operators.stiffness(1.0, eps ** -2), M1)
           + sp.kron(operators.mass(eps ** 2, 1.0), K1)).tocsr()
     M3 = sp.kron(operators.mass(1.0, 1.0), M1).tocsr()
-    return _smallest_values(K3, M3, k, tol)
+    return _smallest_values(K3, M3, k)
 
 
-def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, L: float,
-                        k: int, tol: float = 1e-9,
+def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, k: int,
                         operators: CellOperators = None) -> np.ndarray:
     """Merge of 2D pencil spectra over the *discrete* vertical eigenvalues
-    of (K1, M1); equals the 3D tensor spectrum exactly in exact arithmetic.
-    Mode pencils come from ``operators`` (built here if None)."""
+    of (K1, M1) on n1d intervals of the height ``mesh.geometry.height``;
+    equals the 3D tensor spectrum exactly in exact arithmetic.  Mode
+    pencils come from ``operators`` (built here if None)."""
     if operators is None:
         operators = CellOperators(mesh)
-    K1, M1 = assemble_1d(n1d, L)
+    K1, M1 = assemble_1d(n1d, mesh.geometry.height)
     gammas, _ = dense_eigen_oracle(K1, M1)
     per_mode = min(k, len(mesh.vertices))
     values = []
     for gamma in gammas:
         pencil = assemble_mode_pencil(mesh, eps, float(gamma), operators=operators)
-        values.extend(_smallest_values(pencil.K, pencil.M, per_mode, tol))
+        values.extend(_smallest_values(pencil.K, pencil.M, per_mode))
     values.sort()
     return np.array(values[:k])
 
 
-def _smallest_values(K, M, k: int, tol: float) -> np.ndarray:
+def _smallest_values(K, M, k: int) -> np.ndarray:
     """k smallest eigenvalues of the pencil: dense LAPACK when its size
     allows it, the ARPACK shift-invert solve otherwise."""
     if K.shape[0] <= DENSE_ORACLE_MAX_N:
         return dense_eigen_oracle(K, M, count=k)[0]
-    return np.array([p.value for p in smallest_eigenpairs(K, M, k, tol=tol)])
+    return np.array([p.value for p in smallest_eigenpairs(K, M, k)])
 
 
 @dataclass(frozen=True)
@@ -268,13 +263,13 @@ def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
 
 
 def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
-                      k_total: int, eig_tol: float = 1e-9,
-                      mesh: TriMesh = None) -> ConvergenceReport:
+                      k_total: int, eig_tol: float = 1e-9) -> ConvergenceReport:
     """Full epsilon sweep against the limit spectrum.
 
-    The eps values run one after another on one CellOperators set and one
-    midpoint rule of the mesh.  Merged eigenvalues pair with the limit
-    root of the same mode label j.
+    The FEM side and the limit roots share one cell: the sweep meshes
+    ``geometry`` at ``n_div`` itself.  The eps values run one after
+    another on one CellOperators set and one midpoint rule of that mesh.
+    Merged eigenvalues pair with the limit root of the same mode label j.
     The bound column is mu1 + eps^2 (k pi / L)^2 with the k-th *merged*
     rank, the slack subtracts lambda_eps, and c_h reports the same-mesh
     overestimate of mu1 so the h-effect can be separated from the
@@ -283,8 +278,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if mesh is None:
-        mesh = generate_mesh(geometry, n_div)
+    mesh = generate_mesh(geometry, n_div)
     params = DispersionParams(geometry=geometry)
     roots = {root.j: root for root in limit_eigenvalues(params, k_total)}
     mu1_h = discrete_disk_mu1(mesh, tol=eig_tol)
@@ -295,8 +289,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
 
     rows, reorderings = [], []
     for eps in eps_list:
-        merged = merged_spectrum(mesh, eps, k_total, L=L, tol=eig_tol,
-                                 operators=operators)
+        merged = merged_spectrum(mesh, eps, k_total, tol=eig_tol, operators=operators)
         for k, entry in enumerate(merged, start=1):
             lam0_k = (k * math.pi / L) ** 2
             bound = params.mu1 + eps ** 2 * lam0_k
@@ -311,8 +304,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
             if entry.rank == 1 and entry.j != k:
                 reorderings.append({"eps": eps, "k": k, "j": entry.j})
 
-    return ConvergenceReport(rows=rows, geometry=geometry, n_div=n_div,
-                             mu1_exact=params.mu1, mu1_discrete=mu1_h,
-                             c_h=c_h, roots=list(roots.values()),
+    return ConvergenceReport(rows=rows, n_div=n_div, mu1_exact=params.mu1,
+                             mu1_discrete=mu1_h, c_h=c_h, roots=list(roots.values()),
                              mesh_hash=mesh.content_hash(), eig_tol=eig_tol,
                              reorderings=reorderings)

@@ -31,10 +31,9 @@ def params(geometry):
 
 
 @pytest.fixture(scope="session")
-def sweep(geometry, mesh64):
+def sweep(geometry):
     """Desk-scale epsilon sweep shared by the acceptance criteria; returns
     (report, wall_seconds)."""
     t0 = time.time()
-    report = fc.convergence_sweep(geometry, [0.4, 0.2, 0.1, 0.05], 64, 8,
-                                  mesh=mesh64)
+    report = fc.convergence_sweep(geometry, [0.4, 0.2, 0.1, 0.05], 64, 8)
     return report, time.time() - t0

@@ -90,8 +90,8 @@ def test_criterion_5_limit_roots(params):
 def test_criterion_6_separation_validation(geometry, mesh24):
     worst = 0.0
     for eps in (1.0, 0.2):
-        v3 = fc.kron_3d_oracle(mesh24, 16, eps, geometry.height, 10)
-        vm = fc.discrete_mode_merge(mesh24, 16, eps, geometry.height, 10)
+        v3 = fc.kron_3d_oracle(mesh24, 16, eps, 10)
+        vm = fc.discrete_mode_merge(mesh24, 16, eps, 10)
         rel = float(np.max(np.abs(v3 - vm) / np.abs(vm)))
         assert rel <= 1e-9, f"separation identity broken at eps={eps}: {rel:.2e}"
         worst = max(worst, rel)

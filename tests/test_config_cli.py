@@ -227,15 +227,15 @@ CONVERGENCE_JSON = """\
 """
 
 
-def test_result_file_format(tmp_path, geometry, params):
+def test_result_file_format(tmp_path, params):
     # CSV: ints as they are, floats to 17 significant digits; JSON: sorted
     # keys, two-space indent, shortest float repr; both end in a newline
     rows = [fc.ReportRow(eps=0.1, k=1, j=1, rank=1, lambda_eps=12.5, bound=20.0,
                          slack=7.5, lambda_limit=1 / 3, gap=1e-20, e_F=0.25, e_M=2e-3),
             fc.ReportRow(eps=0.1, k=2, j=1, rank=2, lambda_eps=40.125, bound=61.0,
                          slack=20.875, lambda_limit=2 / 3, gap=3e-15, e_F=0.5, e_M=1.0)]
-    report = fc.ConvergenceReport(rows=rows, geometry=geometry, n_div=16,
-                                  mu1_exact=92.5, mu1_discrete=93.0, c_h=0.5,
+    report = fc.ConvergenceReport(rows=rows, n_div=16, mu1_exact=92.5,
+                                  mu1_discrete=93.0, c_h=0.5,
                                   roots=[], mesh_hash="abc", eig_tol=1e-9,
                                   reorderings=[{"eps": 0.1, "k": 2, "j": 1}])
     report.write_csv(tmp_path / "convergence.csv", "cafe")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fibercell as fc
-from fibercell import (delta, disk_radial_eigendata, limit_eigenfunction,
+from fibercell import (LimitEigenfunction, delta, disk_radial_eigendata,
                        limit_eigenvalues, mean_u0_closed, mean_u0_series,
                        mu0_lower_bound, u0_eval)
 from fibercell.limit import J01, bessel_j0, bessel_j0_zero, bessel_j1
@@ -165,7 +165,7 @@ def test_root_bracket_certificate(params):
 
 def test_limit_eigenfunction_structure(params, geometry):
     root = limit_eigenvalues(params, 2)[1]
-    field = limit_eigenfunction(root, params)
+    field = LimitEigenfunction(root=root, params=params)
     L = geometry.height
     r = geometry.radius
     # continuity across the disk boundary: horizontal factor is 1 at rho=r

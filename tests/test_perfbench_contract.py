@@ -2,7 +2,8 @@
 
 ``perfbench/spans.py`` wraps the module attributes in ``TARGETS`` to time
 the layers, and a name that no longer resolves turns its metric into null;
-``perfbench/workloads.py`` calls ``cli.run_command`` with ``threads=``.
+``perfbench/workloads.py`` calls ``cli.run_command`` with ``threads=`` and
+two spectrum functions with positional arguments.
 These tests only read ``perfbench/``.
 """
 
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 import fibercell as fc
-from fibercell import cli
+from fibercell import cli, spectrum
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -42,6 +43,16 @@ def test_every_span_target_resolves(spans):
 
 def test_run_command_accepts_threads():
     assert "threads" in inspect.signature(cli.run_command).parameters
+
+
+def test_positional_signatures():
+    # workloads.py calls mode_spectrum(mesh, eps, j, height, k, tol=) and
+    # discrete_disk_mu1(mesh, tol=)
+    def names(func):
+        return list(inspect.signature(func).parameters)
+
+    assert names(spectrum.mode_spectrum)[:5] == ["mesh", "eps", "j", "L", "k"]
+    assert names(spectrum.discrete_disk_mu1) == ["mesh", "tol"]
 
 
 def test_u0_eval_second_parameter_is_rho():

@@ -32,12 +32,12 @@ def test_gamma_swap_reproduces_other_mode(mesh16):
 
 
 def test_merged_ground_state_from_mode_one(mesh16):
-    merged = fc.merged_spectrum(mesh16, 0.3, 1, L=1.0)
+    merged = fc.merged_spectrum(mesh16, 0.3, 1)
     assert merged[0].j == 1 and merged[0].rank == 1
 
 
 def test_merged_nondecreasing_and_positive(mesh16):
-    merged = fc.merged_spectrum(mesh16, 0.3, 6, L=1.0)
+    merged = fc.merged_spectrum(mesh16, 0.3, 6)
     values = [e.value for e in merged]
     assert values == sorted(values)
     assert values[0] > 0.0
@@ -45,7 +45,7 @@ def test_merged_nondecreasing_and_positive(mesh16):
 
 def test_merged_bound_first_five(mesh64, params):
     # first 5 merged values at eps = 0.1 below mu1 + eps^2 lambda_5^0
-    merged = fc.merged_spectrum(mesh64, 0.1, 5, L=1.0)
+    merged = fc.merged_spectrum(mesh64, 0.1, 5)
     bound = params.mu1 + 0.01 * (5 * math.pi) ** 2
     assert all(e.value < bound for e in merged)
 
@@ -65,17 +65,17 @@ def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
         return fc.mode_spectrum(mesh, eps, j, *args, **kwargs)
 
     monkeypatch.setattr(spectrum, "mode_spectrum", recording)
-    merged = fc.merged_spectrum(mesh16, eps, k_total, L=1.0)
+    merged = fc.merged_spectrum(mesh16, eps, k_total)
     assert max(solved) <= k_total
     assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in full[:k_total]]
     assert [e.value for e in merged] == pytest.approx([v for v, _, _ in full[:k_total]],
                                                       rel=1e-10)
 
 
-def test_sequential_sweeps_deterministic(geometry, mesh16):
+def test_sequential_sweeps_deterministic(geometry):
     # the eps values run one after another; two sweeps give equal rows
-    a = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 5, mesh=mesh16)
-    b = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 5, mesh=mesh16)
+    a = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 5)
+    b = fc.convergence_sweep(geometry, [0.4, 0.3, 0.2], 16, 5)
     assert [row.eps for row in a.rows] == [0.4] * 5 + [0.3] * 5 + [0.2] * 5
     assert a.rows == b.rows
     assert a.reorderings == b.reorderings
@@ -88,11 +88,11 @@ def test_operator_set_serves_every_pencil(mesh16):
         a = fc.mode_spectrum(mesh16, eps, j, 1.0, 3, operators=ops)
         b = fc.mode_spectrum(mesh16, eps, j, 1.0, 3)
         assert [p.value for p in a.pairs] == [p.value for p in b.pairs]
-    merged = fc.merged_spectrum(mesh16, 0.3, 6, L=1.0, operators=ops)
+    merged = fc.merged_spectrum(mesh16, 0.3, 6, operators=ops)
     assert [e.value for e in merged] == [e.value for e in
-                                         fc.merged_spectrum(mesh16, 0.3, 6, L=1.0)]
-    assert np.array_equal(fc.discrete_mode_merge(mesh16, 6, 0.2, 1.0, 6, operators=ops),
-                          fc.discrete_mode_merge(mesh16, 6, 0.2, 1.0, 6))
+                                         fc.merged_spectrum(mesh16, 0.3, 6)]
+    assert np.array_equal(fc.discrete_mode_merge(mesh16, 6, 0.2, 6, operators=ops),
+                          fc.discrete_mode_merge(mesh16, 6, 0.2, 6))
 
 
 def test_discrete_merge_subset_matches_full_dense(mesh12):
@@ -103,21 +103,21 @@ def test_discrete_merge_subset_matches_full_dense(mesh12):
     for gamma in gammas:
         pencil = fc.assemble_mode_pencil(mesh12, 0.2, float(gamma))
         full.extend(fc.dense_eigen_oracle(pencil.K, pencil.M)[0][:8])
-    merged = fc.discrete_mode_merge(mesh12, 8, 0.2, 1.0, 8)
+    merged = fc.discrete_mode_merge(mesh12, 8, 0.2, 8)
     assert merged == pytest.approx(sorted(full)[:8], rel=1e-11)
 
 
 def test_kron_oracle_equals_discrete_merge(mesh12):
     for eps in (1.0, 0.2):
-        v3 = fc.kron_3d_oracle(mesh12, 8, eps, 1.0, 8)
-        vm = fc.discrete_mode_merge(mesh12, 8, eps, 1.0, 8)
+        v3 = fc.kron_3d_oracle(mesh12, 8, eps, 8)
+        vm = fc.discrete_mode_merge(mesh12, 8, eps, 8)
         assert np.max(np.abs(v3 - vm) / np.abs(vm)) <= 1e-9
 
 
 def test_kron_uniform_is_sum_of_1d_and_2d(mesh12):
     # eps = 1: tensor eigenvalues are sums of 2D Neumann-square and 1D
     # Dirichlet discrete eigenvalues
-    v3 = fc.kron_3d_oracle(mesh12, 8, 1.0, 1.0, 5)
+    v3 = fc.kron_3d_oracle(mesh12, 8, 1.0, 5)
     K1, M1 = fc.assemble_1d(8, 1.0)
     g1, _ = fc.dense_eigen_oracle(K1, M1)
     M2 = fc.CellOperators(mesh12).mass(1.0, 1.0)
@@ -129,26 +129,40 @@ def test_kron_uniform_is_sum_of_1d_and_2d(mesh12):
 
 def test_kron_matches_production_merge(mesh12):
     # discretization difference only: discrete vs analytic vertical values
-    v3 = fc.kron_3d_oracle(mesh12, 8, 0.2, 1.0, 1)
-    merged = fc.merged_spectrum(mesh12, 0.2, 1, L=1.0)
+    v3 = fc.kron_3d_oracle(mesh12, 8, 0.2, 1)
+    merged = fc.merged_spectrum(mesh12, 0.2, 1)
     assert v3[0] == pytest.approx(merged[0].value, rel=0.02)
+
+
+def test_cell_height_comes_from_the_mesh():
+    # every other test runs at height 1, where a height taken from the wrong
+    # place would go unnoticed
+    mesh = fc.generate_mesh(fc.build_cell_geometry(height=2.0), 12)
+    v3 = fc.kron_3d_oracle(mesh, 8, 0.5, 6)
+    assert np.max(np.abs(v3 - fc.discrete_mode_merge(mesh, 8, 0.5, 6)) / v3) <= 1e-9
+    ground = fc.merged_spectrum(mesh, 0.5, 3)[0].value
+    # a one-pair solve agrees with the merge's three-pair solve to rounding
+    assert ground == pytest.approx(fc.mode_spectrum(mesh, 0.5, 1, 2.0, 1).values[0],
+                                   rel=1e-12)
+    assert ground < fc.mode_spectrum(mesh, 0.5, 1, 1.0, 1).values[0]
+    assert v3[0] == pytest.approx(ground, rel=0.02)
 
 
 def test_kron_size_guards(geometry, mesh16):
     with pytest.raises(ValueError):
-        fc.kron_3d_oracle(fc.generate_mesh(geometry, 48), 8, 0.5, 1.0, 4)
+        fc.kron_3d_oracle(fc.generate_mesh(geometry, 48), 8, 0.5, 4)
     with pytest.raises(ValueError):
-        fc.kron_3d_oracle(mesh16, 64, 0.5, 1.0, 4)
+        fc.kron_3d_oracle(mesh16, 64, 0.5, 4)
 
 
-def test_kron_size_guard_survives_mesh_file(tmp_path, mesh64):
+def test_kron_size_guard_survives_mesh_file(tmp_path, geometry, mesh64):
     # read_mesh used to return n_div=0, which skipped the n_div <= 40 guard
     path = tmp_path / "mesh64.txt"
     fc.write_mesh(mesh64, path)
-    back = fc.read_mesh(path)
+    back = fc.read_mesh(path, geometry)
     assert (back.n_div, back.h) == (64, mesh64.h)
     with pytest.raises(ValueError, match="n_div <= 40"):
-        fc.kron_3d_oracle(back, 8, 0.5, 1.0, 4)
+        fc.kron_3d_oracle(back, 8, 0.5, 4)
 
 
 def test_eigenvector_error_decreases_with_eps(mesh16, params):

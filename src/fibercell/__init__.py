@@ -16,7 +16,8 @@ from .assembly import (CellOperators, ModePencil, assemble_1d,
                        assemble_dirichlet_disk, assemble_mode_pencil,
                        export_matrix)
 from .eigensolve import (EigenPair, NotSPDError, SPDFactor, cluster_widths,
-                         dense_eigen_oracle, factorize_spd, smallest_eigenpairs)
+                         dense_eigen_oracle, factorize_spd, inertia_count,
+                         smallest_eigenpairs)
 from .limit import (DispersionParams, LimitEigenfunction, LimitRoot,
                     bessel_j0, bessel_j0_zero, bessel_j0_zeros, bessel_j1, delta,
                     disk_radial_eigendata, limit_eigenvalues, mean_u0_closed,

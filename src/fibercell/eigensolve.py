@@ -3,13 +3,17 @@
 The production path is ARPACK (``scipy.sparse.linalg.eigsh``) in
 shift-invert mode at sigma = 0: implicitly restarted Lanczos on K^-1 M in
 the M-inner product, whose largest Ritz values are the reciprocals of the
-smallest pencil eigenvalues.  The first round starts from the all-ones
-vector; seeded rounds on the projected solve recover degenerate copies a
-single Krylov space misses, and one Rayleigh-Ritz step on everything
-accepted gives the pairs.  Every returned pair passes an explicit residual
-check.  A dense LAPACK oracle (``scipy.linalg.eigh``) covers every pencil
-small enough to afford it and cross-checks the iterative path in the
-validation suite.
+smallest pencil eigenvalues.  An exact count certifies that nothing was
+missed: by Sylvester's law of inertia, the number of negative pivots of an
+LDL^t factorization of K - sigma M equals the number of pencil eigenvalues
+below sigma (``inertia_count``).  The first round starts from the all-ones
+vector; only when it found fewer values below sigma than the count do
+seeded rounds on the projected solve recover the degenerate copies a single
+Krylov space misses.  One Rayleigh-Ritz step on everything accepted gives
+the pairs, and every returned pair passes an explicit residual check.  A
+dense LAPACK oracle (``scipy.linalg.eigh``) covers every pencil small
+enough to afford it and cross-checks the iterative path in the validation
+suite.
 """
 
 from __future__ import annotations
@@ -47,23 +51,24 @@ class EigenPair:
     residual: float
 
 
-class SPDFactor:
-    """Sparse symmetric factorization of an SPD matrix.
+def _symmetric_lu(A: sp.spmatrix):
+    """SuperLU in symmetric mode with the diagonal-pivot threshold at zero:
+    an LDL^t-like elimination on a fill-reducing (minimum degree) ordering,
+    so the diagonal of U carries the pivots D."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
 
-    SuperLU in symmetric mode with the diagonal-pivot threshold at zero
-    performs an LDL^t-like elimination on a fill-reducing (minimum degree)
-    ordering, so the diagonal of U carries the pivots: any non-positive
-    pivot certifies the matrix is not SPD.
+
+class SPDFactor:
+    """Sparse symmetric factorization of an SPD matrix by ``_symmetric_lu``:
+    any non-positive pivot certifies the matrix is not SPD.
     """
 
     def __init__(self, K: sp.spmatrix):
-        K = K.tocsc()
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
         try:
-            self._lu = splu(K, permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0,
-                            options=dict(SymmetricMode=True))
+            self._lu = _symmetric_lu(K)
         except RuntimeError as exc:  # exactly singular pivot
             raise NotSPDError(f"factorization failed: {exc}") from exc
         pivots = self._lu.U.diagonal()
@@ -79,6 +84,29 @@ class SPDFactor:
 def factorize_spd(K: sp.spmatrix) -> SPDFactor:
     """Factor an SPD sparse matrix; raises NotSPDError otherwise."""
     return SPDFactor(K)
+
+
+def inertia_count(K, M, sigma: float) -> int:
+    """Number of eigenvalues of the symmetric pencil (K, M), M SPD, below
+    ``sigma``.
+
+    Sylvester's law of inertia: K - sigma M = P^t L D L^t P has as many
+    negative pivots in D as the pencil has eigenvalues below sigma.
+    ``_symmetric_lu`` keeps every pivot on the diagonal unless one is
+    exactly zero; then the row and column orderings differ, the pivots are
+    no congruence of K - sigma M, and LinAlgError is raised instead of a
+    guess, as it is when K - sigma M is exactly singular.
+    """
+    try:
+        lu = _symmetric_lu(K - sigma * M)
+    except RuntimeError as exc:  # exactly singular pivot
+        raise np.linalg.LinAlgError(
+            f"K - sigma M is singular at sigma={sigma:.17g}: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise np.linalg.LinAlgError(
+            f"SuperLU left the diagonal factoring K - sigma M at "
+            f"sigma={sigma:.17g}: no inertia count")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def dense_eigen_oracle(K, M, count: int = None):
@@ -107,70 +135,84 @@ def dense_eigen_oracle(K, M, count: int = None):
         raise NotSPDError(f"mass matrix is not SPD: {exc}") from exc
 
 
-def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
-    """k smallest eigenpairs of the SPD pencil (K, M), ascending.
+def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
+                        below: float = None) -> list[EigenPair]:
+    """k smallest eigenpairs of the SPD pencil (K, M), ascending; with
+    ``below``, only those whose eigenvalue lies below it, possibly none.
 
-    Up to seven rounds of ARPACK in shift-invert mode at sigma = 0, with
-    K^-1 applied through the SPD factorization.  Round 0 asks for k pairs
-    from the all-ones start vector.  A Krylov space carries one vector per
-    eigenspace, so each later round starts from a seeded random vector and
-    runs on the solve projected M-orthogonally to the accepted vectors V,
-    until a round finds no eigenvalue below the k-th accepted one.  One
-    Rayleigh-Ritz step on span(V), a dense eigh of (V^t K V, V^t M V), then
-    gives the k values and M-orthonormal vectors, with a deterministic
-    basis inside each degenerate eigenspace.
+    ARPACK in shift-invert mode at sigma = 0, with K^-1 applied through the
+    SPD factorization.  Round 0 asks for k pairs from the all-ones start
+    vector.  The inertia count c says how many pencil eigenvalues lie below
+    the threshold s: s is ``below``, counted before any solve (k becomes
+    min(k, c), and c = 0 returns [] without factoring K); without it, or
+    when c exceeds k, s is the k-th value of round 0 times (1 + 1e-8),
+    capped at ``below``, and counted again.  A Krylov space carries one
+    vector per eigenspace, so while fewer than c accepted values lie below
+    s, up to six more rounds of max(2, k // 2) pairs start from a seeded
+    random vector and run on the solve projected M-orthogonally to the
+    accepted vectors V.  One Rayleigh-Ritz step on span(V), a dense eigh of
+    (V^t K V, V^t M V), then gives the k values and M-orthonormal vectors,
+    with a deterministic basis inside each degenerate eigenspace.  At most
+    one sparse factorization is alive at a time.
     Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol``;
-    otherwise, or when the sixth projected round still finds a new
-    eigenvalue, EigenConvergenceError is raised.
+    otherwise, or when the sixth projected round still leaves fewer than c
+    values found below s, EigenConvergenceError is raised.
     """
     n = K.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the pencil size {n}")
-    factor = factorize_spd(K)
     M = M.tocsr() if sp.issparse(M) else sp.csr_matrix(M)
+    sigma, count = below, None
+    if below is not None:
+        count = inertia_count(K, M, below)
+        if count == 0:
+            logger.debug("pencil n=%d sigma=%.10g count=0 found=0 fallback rounds=0",
+                         n, below)
+            return []
+        k = min(k, count)
 
     rng = np.random.default_rng(20240817)
-    values, V, kth = np.empty(0), np.empty((n, 0)), np.inf
-    for round_ in range(_PROBE_ROUNDS + 1):
-        if round_ == 0:
-            solve, count, start = factor.solve, k, np.ones(n)
-        else:
-            count = min(max(2, k // 2), n - len(values) - 1)
-            if count < 1:
-                break
-            # P K^-1 P^t with P = I - V V^t M, the M-orthogonal projector onto
-            # the complement of the accepted vectors
-            MV = M @ V
-
-            def solve(b, V=V, MV=MV):
-                x = factor.solve(b - MV @ (V.T @ b))
-                return x - V @ (MV.T @ x)
-
-            kth = np.sort(values)[k - 1]
-            start = rng.standard_normal(n)
-        # ARPACK stops on a Ritz estimate for K^-1 M, not on the pencil
-        # residual, so it runs at a tenth of tol; rng seeds the vectors it
-        # draws when its Krylov space becomes invariant
-        op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
-        try:
-            vals, vecs = eigsh(K, count, M=M, sigma=0.0, OPinv=op_inv,
-                               v0=start, tol=0.1 * tol, rng=rng)
-        except ArpackNoConvergence as exc:
-            raise EigenConvergenceError(
-                f"only {len(exc.eigenvalues)} of {count} eigenpairs "
-                f"converged") from exc
-        logger.debug("arpack round %d k=%d values %s", round_, count, vals)
-        below = vals < kth * (1 + 1e-8)
-        if not below.any():
+    factor = factorize_spd(K)
+    values, V = _arpack_round(K, M, factor.solve, k, np.ones(n), tol, rng, 0)
+    if count is None or count > k:
+        # certify the k-th value itself; the count factors K - sigma M, so
+        # the factor of K goes first
+        sigma = values.max() * (1 + 1e-8)
+        if below is not None:
+            sigma = min(sigma, below)
+        factor = None
+        count = inertia_count(K, M, sigma)
+    found = int(np.count_nonzero(values < sigma))
+    rounds = 0
+    while found < count:
+        width = min(max(2, k // 2), n - len(values) - 1)
+        if width < 1:
             break
-        values = np.concatenate((values, vals[below]))
-        V = np.column_stack((V, vecs[:, below]))
-    else:
-        raise EigenConvergenceError(
-            f"complement probe still found eigenvalues below the k-th "
-            f"({kth:.10g}) after {_PROBE_ROUNDS} rounds")
+        if rounds == _PROBE_ROUNDS:
+            raise EigenConvergenceError(
+                f"inertia counts {count} eigenvalues below {sigma:.10g}, "
+                f"found {found} after {_PROBE_ROUNDS} rounds")
+        rounds += 1
+        if factor is None:
+            factor = factorize_spd(K)
+        # P K^-1 P^t with P = I - V V^t M, the M-orthogonal projector onto
+        # the complement of the accepted vectors
+        MV = M @ V
+
+        def solve(b, V=V, MV=MV):
+            x = factor.solve(b - MV @ (V.T @ b))
+            return x - V @ (MV.T @ x)
+
+        vals, vecs = _arpack_round(K, M, solve, width, rng.standard_normal(n),
+                                   tol, rng, rounds)
+        new = vals < sigma
+        values = np.concatenate((values, vals[new]))
+        V = np.column_stack((V, vecs[:, new]))
+        found += int(np.count_nonzero(new))
+    logger.debug("pencil n=%d sigma=%.10g count=%d found=%d fallback rounds=%d",
+                 n, sigma, count, found, rounds)
 
     values, C = scipy.linalg.eigh(V.T @ (K @ V), V.T @ (M @ V),
                                   subset_by_index=[0, k - 1])
@@ -185,6 +227,25 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9) -> list[EigenPair]:
                 f"eigenvalue {val:.10g}")
         out.append(EigenPair(value=float(val), vector=vec, residual=res))
     return out
+
+
+def _arpack_round(K, M, solve, width: int, start, tol: float, rng, round_: int):
+    """``width`` Ritz pairs of the pencil from one eigsh call in
+    shift-invert mode at sigma = 0, with ``solve`` in place of K^-1."""
+    n = K.shape[0]
+    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
+    # ARPACK stops on a Ritz estimate for K^-1 M, not on the pencil
+    # residual, so it runs at a tenth of tol; rng seeds the vectors it
+    # draws when its Krylov space becomes invariant
+    try:
+        vals, vecs = eigsh(K, width, M=M, sigma=0.0, OPinv=op_inv, v0=start,
+                           tol=0.1 * tol, rng=rng)
+    except ArpackNoConvergence as exc:
+        raise EigenConvergenceError(
+            f"only {len(exc.eigenvalues)} of {width} eigenpairs "
+            f"converged") from exc
+    logger.debug("arpack round %d k=%d values %s", round_, width, vals)
+    return vals, vecs
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

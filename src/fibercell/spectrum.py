@@ -98,15 +98,18 @@ class ConvergenceReport:
 
 
 def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
-                  tol: float = 1e-9, operators: CellOperators = None) -> ModeSpectrum:
+                  tol: float = 1e-9, operators: CellOperators = None,
+                  below: float = None) -> ModeSpectrum:
     """k smallest eigenpairs of the pencil of vertical mode j on a cell of
     height L, assembled from ``operators`` (the mesh's CellOperators, built
-    here if None)."""
+    here if None); with ``below``, only those below it (see
+    ``smallest_eigenpairs``)."""
     if j < 1:
         raise ValueError("mode index j must be >= 1")
     gamma = (j * math.pi / L) ** 2
     pencil = assemble_mode_pencil(mesh, eps, gamma, operators=operators)
-    return ModeSpectrum(pairs=smallest_eigenpairs(pencil.K, pencil.M, k, tol=tol))
+    return ModeSpectrum(pairs=smallest_eigenpairs(pencil.K, pencil.M, k, tol=tol,
+                                                  below=below))
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
@@ -114,15 +117,16 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     """The k_total smallest values of the per-mode spectra, solved lazily;
     the cell height is ``mesh.geometry.height``.
 
-    Ties break by (value, j).  Mode pencils increase with j, so
-    lambda_r(j) >= lambda_r(j-1): mode j solves only for as many pairs as
-    mode j-1 placed in the running top k_total, and the merge is complete
-    once a mode places none or its smallest eigenvalue reaches the k-th
-    merged value.  That happens by mode k_total at the latest: K grows
-    with gamma by at least eps^2 M, so each mode's smallest eigenvalue
-    exceeds the previous mode's, and after mode k_total the k_total ground
-    values seen so far bound the k-th merged value by mode k_total's own.
-    Every mode pencil comes from ``operators`` (built here if None).
+    Ties break by (value, j).  Mode 1 gives its k_total smallest pairs.
+    Every later mode j gives only its pairs below the k-th merged value
+    (times 1 + 1e-8), whose number an inertia count fixes before any solve,
+    and the first mode with none ends the merge: mode pencils increase with
+    j, so no later mode has any either.  That happens by mode k_total at
+    the latest: K grows with gamma by at least eps^2 M, so each mode's
+    smallest eigenvalue exceeds the previous mode's, and after mode k_total
+    the k_total ground values seen so far bound the k-th merged value by
+    mode k_total's own.  Every mode pencil comes from ``operators`` (built
+    here if None).
     """
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
@@ -130,17 +134,16 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
         operators = CellOperators(mesh)
 
     merged: list[MergedEigenvalue] = []
-    need = k_total
     for j in range(1, k_total + 1):
-        spec = mode_spectrum(mesh, eps, j, mesh.geometry.height, need, tol=tol,
-                             operators=operators)
+        below = merged[-1].value * (1 + 1e-8) if merged else None
+        spec = mode_spectrum(mesh, eps, j, mesh.geometry.height, k_total, tol=tol,
+                             operators=operators, below=below)
+        if not spec.pairs:
+            break
         merged += [MergedEigenvalue(value=pair.value, j=j, rank=rank, pair=pair)
                    for rank, pair in enumerate(spec.pairs, start=1)]
         merged.sort(key=lambda e: (e.value, e.j, e.rank))
         del merged[k_total:]
-        need = sum(e.j == j for e in merged)
-        if need == 0 or merged[-1].value <= spec.pairs[0].value:
-            break
     return merged
 
 

@@ -11,6 +11,11 @@ def geometry():
 
 
 @pytest.fixture(scope="session")
+def mesh12(geometry):
+    return fc.generate_mesh(geometry, 12)
+
+
+@pytest.fixture(scope="session")
 def mesh16(geometry):
     return fc.generate_mesh(geometry, 16)
 

@@ -165,3 +165,67 @@ def test_off_centre_fiber_pencil_converges(mesh64):
     for pair, expected in zip(pairs, ref):
         assert pair.residual <= 1e-9
         assert pair.value == pytest.approx(expected.value, rel=1e-8)
+
+
+def _oracle_pencils(mesh12, mesh16):
+    for eps in (1.0, 0.2, 0.05):
+        for j in (1, 3, 8):
+            pencil = fc.assemble_mode_pencil(mesh12, eps, (j * math.pi) ** 2)
+            yield f"mesh12 eps={eps} j={j}", pencil.K, pencil.M
+    K1, M1 = fc.assemble_1d(64, 1.0)
+    yield "1D, 64 intervals", K1, M1
+    K_D, M_D, _ = fc.assemble_dirichlet_disk(mesh16)
+    yield "mesh16 Dirichlet disk", K_D, M_D
+
+
+def _gap_midpoints(values, count):
+    """(shifts, counts below): the midpoints of ``count`` gaps spread over
+    an ascending spectrum, never inside a double."""
+    gaps = np.flatnonzero(np.diff(values) > 1e-6 * values[1:])
+    picks = gaps[np.unique(np.linspace(0, len(gaps) - 1, count).round().astype(int))]
+    return 0.5 * (values[picks] + values[picks + 1]), picks + 1
+
+
+def test_inertia_count_matches_dense_oracle(mesh12, mesh16):
+    for name, K, M in _oracle_pencils(mesh12, mesh16):
+        values, _ = fc.dense_eigen_oracle(K, M)
+        shifts, expected = _gap_midpoints(values, 12)
+        assert len(shifts) >= 10, name
+        counts = [fc.inertia_count(K, M, s) for s in np.r_[0.5 * values[0], shifts]]
+        assert counts == [0] + list(expected), name
+
+
+def test_below_returns_exactly_the_dense_values_below(mesh12):
+    # eps=0.2, j=3 has doubles at ranks 3-4 and 5-6; k=3 under a bound
+    # above rank 4 splits the first double, and both of its copies must be
+    # found before the third value is certified
+    pencil = fc.assemble_mode_pencil(mesh12, 0.2, (3 * math.pi) ** 2)
+    values, _ = fc.dense_eigen_oracle(pencil.K, pencil.M)
+    shifts, expected = _gap_midpoints(values[:12], 11)
+    for below, count in zip(shifts, expected):
+        for k in (3, 8):
+            pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, k, below=below)
+            assert len(pairs) == min(k, count)
+            for pair, ref in zip(pairs, values):
+                assert pair.value < below
+                assert abs(pair.value - ref) <= 1e-9 * ref
+    assert fc.smallest_eigenpairs(pencil.K, pencil.M, 3, below=0.5 * values[0]) == []
+
+
+def test_inertia_count_refuses_to_guess():
+    # a zero diagonal makes SuperLU leave the diagonal: no congruence
+    K = sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="left the diagonal"):
+        fc.inertia_count(K, sp.identity(2, format="csr"), 0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        fc.inertia_count(sp.identity(3, format="csc"), sp.identity(3, format="csr"), 1.0)
+
+
+def test_probe_exhaustion_names_the_count():
+    # every copy of a 40-fold eigenvalue is counted; six projected rounds
+    # find twelve of them
+    K = sp.diags(np.r_[np.ones(40), np.arange(2.0, 22.0)]).tocsr()
+    M = sp.identity(60, format="csr")
+    with pytest.raises(EigenConvergenceError,
+                       match=r"inertia counts 43 eigenvalues below 4\b.*found \d+ after 6 rounds"):
+        fc.smallest_eigenpairs(K, M, 4)

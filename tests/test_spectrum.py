@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 import fibercell as fc
-from fibercell import spectrum
-
-
-@pytest.fixture(scope="module")
-def mesh12(geometry):
-    return fc.generate_mesh(geometry, 12)
+from fibercell import eigensolve, spectrum
 
 
 def test_uniform_mode_ground_state(mesh16):
@@ -70,6 +65,44 @@ def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
     assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in full[:k_total]]
     assert [e.value for e in merged] == pytest.approx([v for v, _, _ in full[:k_total]],
                                                       rel=1e-10)
+
+
+def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
+    # each later mode asks ARPACK for no more pairs than its inertia count
+    # at the bound, and the mode that ends the merge (count 0) factors
+    # nothing and runs no ARPACK round
+    work = []
+    factorize_spd, eigsh = eigensolve.factorize_spd, eigensolve.eigsh
+
+    def factor_spy(K):
+        work.append("factor")
+        return factorize_spd(K)
+
+    def eigsh_spy(A, k, **kwargs):
+        work.append(k)
+        return eigsh(A, k, **kwargs)
+
+    modes = []
+
+    def recording(mesh, eps, j, L, k, **kwargs):
+        start = len(work)
+        spec = fc.mode_spectrum(mesh, eps, j, L, k, **kwargs)
+        modes.append((j, kwargs["below"], work[start:], len(spec.pairs)))
+        return spec
+
+    monkeypatch.setattr(eigensolve, "factorize_spd", factor_spy)
+    monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
+    monkeypatch.setattr(spectrum, "mode_spectrum", recording)
+    merged = fc.merged_spectrum(mesh16, 0.2, 8)
+    assert modes[0][:2] == (1, None) and modes[0][2][:2] == ["factor", 8]
+    assert [j for j, *_ in modes] == list(range(1, len(modes) + 1))
+    for j, below, calls, found in modes[1:-1]:
+        pencil = fc.assemble_mode_pencil(mesh16, 0.2, (j * math.pi) ** 2)
+        count = fc.inertia_count(pencil.K, pencil.M, below)
+        assert found == count and calls[:2] == ["factor", count]
+    j_end, _, calls, found = modes[-1]
+    assert (found, calls) == (0, [])
+    assert j_end <= 8 and all(e.j < j_end for e in merged)
 
 
 def test_sequential_sweeps_deterministic(geometry):

@@ -18,8 +18,7 @@ import numpy as np
 
 from .assembly import CellOperators
 from .config import ConfigError, RunConfig, parse_config, write_json, write_table
-from .eigensolve import (DENSE_ORACLE_MAX_N, dense_eigen_oracle,
-                         smallest_eigenpairs)
+from .eigensolve import dense_eigen_oracle, smallest_eigenpairs
 from .limit import (DispersionParams, limit_eigenvalues, mean_u0_closed,
                     mean_u0_series, write_roots_csv, write_roots_json)
 from .mesh import generate_mesh, write_mesh
@@ -133,14 +132,13 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
 
     # ARPACK shift-invert certified by an inertia count vs dense on a coarse pencil
     pencil = operators.pencil(0.3, (np.pi / geometry.height) ** 2)
-    if pencil.K.shape[0] <= DENSE_ORACLE_MAX_N:
-        dense_vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
-        krylov = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)
-        for pair, ref in zip(krylov, dense_vals[:6]):
-            if abs(pair.value - ref) > 1e-9 * max(1.0, abs(ref)):
-                failures.append(
-                    f"shift-invert/dense mismatch {pair.value!r} vs {ref!r}")
-                break
+    dense_vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
+    krylov = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)
+    for pair, ref in zip(krylov, dense_vals[:6]):
+        if abs(pair.value - ref) > 1e-9 * max(1.0, abs(ref)):
+            failures.append(
+                f"shift-invert/dense mismatch {pair.value!r} vs {ref!r}")
+            break
     return failures
 
 

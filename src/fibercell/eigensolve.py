@@ -6,14 +6,14 @@ the M-inner product, whose largest Ritz values are the reciprocals of the
 smallest pencil eigenvalues.  An exact count certifies that nothing was
 missed: by Sylvester's law of inertia, the number of negative pivots of an
 LDL^t factorization of K - sigma M equals the number of pencil eigenvalues
-below sigma (``inertia_count``).  The first round starts from the all-ones
-vector; only when it found fewer values below sigma than the count do
-seeded rounds on the projected solve recover the degenerate copies a single
-Krylov space misses.  One Rayleigh-Ritz step on everything accepted gives
-the pairs, and every returned pair passes an explicit residual check.  A
-dense LAPACK oracle (``scipy.linalg.eigh``) covers every pencil small
-enough to afford it and cross-checks the iterative path in the validation
-suite.
+below sigma (``inertia_count``), with sigma just below the k-th value.
+The first round starts from the all-ones vector; only when it found fewer
+values below sigma than the count do seeded rounds on the projected solve
+recover the degenerate copies a single Krylov space misses.  One
+Rayleigh-Ritz step on everything accepted gives the pairs, and every
+returned pair passes an explicit residual check.  A dense LAPACK oracle
+(``scipy.linalg.eigh``) covers every pencil small enough to afford it and
+cross-checks the iterative path in the validation suite.
 """
 
 from __future__ import annotations
@@ -51,27 +51,31 @@ class EigenPair:
     residual: float
 
 
-def _symmetric_lu(A: sp.spmatrix):
+def _symmetric_lu(A: sp.spmatrix, error=np.linalg.LinAlgError, name="matrix"):
     """SuperLU in symmetric mode with the diagonal-pivot threshold at zero:
-    an LDL^t-like elimination on a fill-reducing (minimum degree) ordering,
-    so the diagonal of U carries the pivots D."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
+    an LDL^t-like elimination on a fill-reducing (minimum degree) ordering.
+    Returns the factor and its pivots D = diag(U), A = P^t L D L^t P.
+    Raises ``error`` when A is exactly singular, or when a zero pivot made
+    SuperLU leave the diagonal: then D is no congruence of A."""
+    try:
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # exactly singular pivot
+        raise error(f"{name} is singular: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise error(f"SuperLU left the diagonal factoring {name}")
+    return lu, lu.U.diagonal()
 
 
 class SPDFactor:
     """Sparse symmetric factorization of an SPD matrix by ``_symmetric_lu``:
-    any non-positive pivot certifies the matrix is not SPD.
+    a singular matrix or any non-positive pivot certifies it is not SPD.
     """
 
     def __init__(self, K: sp.spmatrix):
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
-        try:
-            self._lu = _symmetric_lu(K)
-        except RuntimeError as exc:  # exactly singular pivot
-            raise NotSPDError(f"factorization failed: {exc}") from exc
-        pivots = self._lu.U.diagonal()
+        self._lu, pivots = _symmetric_lu(K, NotSPDError)
         if np.any(pivots <= 0.0) or np.any(~np.isfinite(pivots)):
             raise NotSPDError("non-positive pivot: matrix is not SPD "
                               "(check gamma > 0 or the assembly)")
@@ -91,22 +95,13 @@ def inertia_count(K, M, sigma: float) -> int:
     ``sigma``.
 
     Sylvester's law of inertia: K - sigma M = P^t L D L^t P has as many
-    negative pivots in D as the pencil has eigenvalues below sigma.
-    ``_symmetric_lu`` keeps every pivot on the diagonal unless one is
-    exactly zero; then the row and column orderings differ, the pivots are
-    no congruence of K - sigma M, and LinAlgError is raised instead of a
-    guess, as it is when K - sigma M is exactly singular.
+    negative pivots in D as the pencil has eigenvalues below sigma.  When
+    ``_symmetric_lu`` finds K - sigma M singular or leaves the diagonal,
+    LinAlgError is raised instead of a guess.
     """
-    try:
-        lu = _symmetric_lu(K - sigma * M)
-    except RuntimeError as exc:  # exactly singular pivot
-        raise np.linalg.LinAlgError(
-            f"K - sigma M is singular at sigma={sigma:.17g}: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise np.linalg.LinAlgError(
-            f"SuperLU left the diagonal factoring K - sigma M at "
-            f"sigma={sigma:.17g}: no inertia count")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    _, pivots = _symmetric_lu(K - sigma * M,
+                              name=f"K - sigma M at sigma={sigma:.17g}")
+    return int(np.count_nonzero(pivots < 0.0))
 
 
 def dense_eigen_oracle(K, M, count: int = None):
@@ -145,15 +140,15 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     vector.  The inertia count c says how many pencil eigenvalues lie below
     the threshold s: s is ``below``, counted before any solve (k becomes
     min(k, c), and c = 0 returns [] without factoring K); without it, or
-    when c exceeds k, s is the k-th value of round 0 times (1 + 1e-8),
-    capped at ``below``, and counted again.  A Krylov space carries one
-    vector per eigenspace, so while fewer than c accepted values lie below
-    s, up to six more rounds of max(2, k // 2) pairs start from a seeded
-    random vector and run on the solve projected M-orthogonally to the
-    accepted vectors V.  One Rayleigh-Ritz step on span(V), a dense eigh of
-    (V^t K V, V^t M V), then gives the k values and M-orthonormal vectors,
-    with a deterministic basis inside each degenerate eigenspace.  At most
-    one sparse factorization is alive at a time.
+    when c exceeds k, s is the k-th value of round 0 times (1 - 1e-8),
+    strictly below it, so copies of the k-th value need not be found.  A
+    Krylov space carries one vector per eigenspace, so while fewer than c
+    accepted values lie below s, up to six more rounds of max(2, k // 2)
+    pairs start from a seeded random vector and run on the solve projected
+    M-orthogonally to the accepted vectors V.  One Rayleigh-Ritz step on
+    span(V), a dense eigh of (V^t K V, V^t M V), then gives the k values
+    and M-orthonormal vectors, with a deterministic basis inside each
+    degenerate eigenspace.  At most one sparse factorization is alive.
     Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol``;
     otherwise, or when the sixth projected round still leaves fewer than c
     values found below s, EigenConvergenceError is raised.
@@ -177,11 +172,9 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     factor = factorize_spd(K)
     values, V = _arpack_round(K, M, factor.solve, k, np.ones(n), tol, rng, 0)
     if count is None or count > k:
-        # certify the k-th value itself; the count factors K - sigma M, so
-        # the factor of K goes first
-        sigma = values.max() * (1 + 1e-8)
-        if below is not None:
-            sigma = min(sigma, below)
+        # certify everything strictly below the k-th value; the count
+        # factors K - sigma M, so the factor of K goes first
+        sigma = values.max() * (1 - 1e-8)
         factor = None
         count = inertia_count(K, M, sigma)
     found = int(np.count_nonzero(values < sigma))

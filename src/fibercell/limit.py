@@ -103,13 +103,15 @@ class DispersionParams:
 @dataclass
 class LimitRoot:
     """Limit eigenvalue lam solving delta(lam) = gamma_j = (j pi / L)^2,
-    with the disk mean S = int_D u0(lam) and the final bisection bracket."""
+    with the disk mean S = int_D u0(lam), the final bisection bracket and
+    delta_check = delta(lam), the value the bisection stopped on."""
 
     j: int
     gamma_j: float
     lam: float
     mean_u0: float
     bracket_width: float
+    delta_check: float
 
 
 def disk_radial_eigendata(r: float, n: int) -> np.ndarray:
@@ -189,6 +191,25 @@ def delta(lam: float, params: DispersionParams) -> float:
     return params.c_coef * lam + params.cp_coef * lam * lam * s_val
 
 
+def _bisect(f, target: float, mu1: float, stop):
+    """Bisection for the increasing f = target on (0, mu1), a relative
+    margin off both ends: each step evaluates f once, at the midpoint of
+    [lo, hi], and returns (midpoint, hi - lo, value) once
+    ``stop(lo, hi, value)`` holds (or after 220 steps, long past 1 ulp)."""
+    lo = _INTERVAL_MARGIN * mu1
+    hi = mu1 * (1.0 - _INTERVAL_MARGIN)
+    for _ in range(220):
+        mid = 0.5 * (lo + hi)
+        value = f(mid)
+        if stop(lo, hi, value):
+            break
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid, hi - lo, value
+
+
 def mu0_lower_bound(params: DispersionParams) -> float:
     """mu0 = phi^-1(lambda0) with
     phi(t) = t (1 + |D|/|C\\D| + t |D| / (|C\\D| (mu1 - t))).
@@ -200,24 +221,15 @@ def mu0_lower_bound(params: DispersionParams) -> float:
     g = params.geometry
     disk = g.disk_area
     matrix = g.matrix_area
+    mu1 = params.mu1
 
     def phi(t):
-        return t * (1.0 + disk / matrix + t * disk / (matrix * (params.mu1 - t)))
+        return t * (1.0 + disk / matrix + t * disk / (matrix * (mu1 - t)))
 
-    lo = _INTERVAL_MARGIN * params.mu1
-    hi = params.mu1 * (1.0 - _INTERVAL_MARGIN)
-    target = params.lambda0
-    if phi(lo) > target:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * params.mu1:
-            break
-    return 0.5 * (lo + hi)
+    if phi(_INTERVAL_MARGIN * mu1) > params.lambda0:
+        return _INTERVAL_MARGIN * mu1
+    return _bisect(phi, params.lambda0, mu1,
+                   lambda lo, hi, _: hi - lo <= 1e-12 * mu1)[0]
 
 
 def limit_eigenvalues(params: DispersionParams, j_max: int,
@@ -230,34 +242,28 @@ def limit_eigenvalues(params: DispersionParams, j_max: int,
     to a 4-ulp bracket, where it stops whether or not that residual holds:
     near the pole of delta at mu1 no double may meet it (132 of the 9000
     roots j <= 1000 on the radii 0.2496..0.2504 miss it).  The residual is
-    not checked here; ``delta_check`` in the root exports re-evaluates it.
+    not checked here; ``delta_check`` is delta at the accepted root, the
+    value of the last bisection step, and no lambda is evaluated twice.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     roots = []
     L = params.geometry.height
+    mu1 = params.mu1
     for j in range(1, j_max + 1):
         gamma_j = (j * math.pi / L) ** 2
-        lo = _INTERVAL_MARGIN * params.mu1
-        hi = params.mu1 * (1.0 - _INTERVAL_MARGIN)
-        best = None
-        for _ in range(220):
-            mid = 0.5 * (lo + hi)
-            val = delta(mid, params)
-            if val < gamma_j:
-                lo = mid
-            else:
-                hi = mid
-            best = 0.5 * (lo + hi)
-            if (hi - lo) <= rel_tol * params.mu1:
-                if abs(delta(best, params) - gamma_j) <= 1e-10 * gamma_j:
-                    break
-                if (hi - lo) <= 4.0 * np.spacing(hi):
-                    break
-        s_val = mean_u0_closed(best, params.geometry.radius)
-        roots.append(LimitRoot(j=j, gamma_j=gamma_j, lam=float(best),
-                               mean_u0=float(s_val),
-                               bracket_width=float(hi - lo)))
+
+        def stop(lo, hi, value):
+            return hi - lo <= rel_tol * mu1 and (
+                abs(value - gamma_j) <= 1e-10 * gamma_j
+                or hi - lo <= 4.0 * np.spacing(hi))
+
+        lam, width, value = _bisect(lambda t: delta(t, params), gamma_j, mu1,
+                                    stop)
+        roots.append(LimitRoot(j=j, gamma_j=gamma_j, lam=float(lam),
+                               mean_u0=mean_u0_closed(lam, params.geometry.radius),
+                               bracket_width=float(width),
+                               delta_check=float(value)))
     return roots
 
 
@@ -293,11 +299,11 @@ class LimitEigenfunction:
 
 def write_roots_csv(roots, params: DispersionParams, path,
                     config_hash: str = "") -> None:
-    """CSV export ``j, gamma_j, lambda_k, S, delta_check`` (delta_check
-    re-evaluates delta at the root)."""
+    """CSV export ``j, gamma_j, lambda_k, S, delta_check`` (delta_check is
+    delta at the accepted root)."""
     write_table(path, ("j", "gamma_j", "lambda_k", "S", "delta_check"),
                 ((root.j, root.gamma_j, root.lam, root.mean_u0,
-                  delta(root.lam, params)) for root in roots),
+                  root.delta_check) for root in roots),
                 config_hash)
 
 
@@ -315,7 +321,7 @@ def write_roots_json(roots, params: DispersionParams, path,
         "roots": [
             {"j": root.j, "gamma_j": root.gamma_j, "lambda": root.lam,
              "mean_u0": root.mean_u0, "bracket_width": root.bracket_width,
-             "delta_check": delta(root.lam, params)}
+             "delta_check": root.delta_check}
             for root in roots],
     })
 

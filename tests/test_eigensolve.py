@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import fibercell as fc
-from fibercell import NotSPDError
+from fibercell import NotSPDError, eigensolve
 from fibercell.eigensolve import EigenConvergenceError
 
 
@@ -34,6 +34,13 @@ def test_shifted_indefinite_rejected():
     K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
     with pytest.raises(NotSPDError):
         fc.factorize_spd((K - 3.0 * sp.identity(n)).tocsc())
+
+
+def test_zero_diagonal_indefinite_rejected():
+    # eigenvalues +-1: SuperLU swaps rows and shows two positive pivots,
+    # which only the diagonal check sees through
+    with pytest.raises(NotSPDError, match="left the diagonal"):
+        fc.factorize_spd(sp.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def test_identity_pencil_eigenvalues():
@@ -227,5 +234,28 @@ def test_probe_exhaustion_names_the_count():
     K = sp.diags(np.r_[np.ones(40), np.arange(2.0, 22.0)]).tocsr()
     M = sp.identity(60, format="csr")
     with pytest.raises(EigenConvergenceError,
-                       match=r"inertia counts 43 eigenvalues below 4\b.*found \d+ after 6 rounds"):
+                       match=r"inertia counts 42 eigenvalues below 3\.99999996\b.*found \d+ after 6 rounds"):
         fc.smallest_eigenpairs(K, M, 4)
+
+
+def test_ties_with_the_kth_value_need_not_be_found():
+    # any three unit vectors answer the identity pencil: the count sits
+    # strictly below the third value, so its 97 other copies are not hunted
+    eye = sp.identity(100, format="csr")
+    pairs = fc.smallest_eigenpairs(eye, eye, 3)
+    assert [pair.value for pair in pairs] == pytest.approx([1.0] * 3, rel=1e-12)
+
+
+def test_double_kth_value_costs_one_factorization(mesh64, monkeypatch):
+    # mode 1 at eps=0.1 has its 8th value on a double; certifying that value
+    # itself took a projected round and a second factorization of K
+    calls = {"factorize_spd": 0, "eigsh": 0}
+    for name in calls:
+        def spy(*args, _name=name, _original=getattr(eigensolve, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(eigensolve, name, spy)
+    pencil = fc.assemble_mode_pencil(mesh64, 0.1, math.pi ** 2)
+    pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, 8)
+    assert len(pairs) == 8
+    assert calls == {"factorize_spd": 1, "eigsh": 1}

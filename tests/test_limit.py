@@ -10,6 +10,7 @@ import fibercell as fc
 from fibercell import (LimitEigenfunction, delta, disk_radial_eigendata,
                        limit_eigenvalues, mean_u0_closed, mean_u0_series,
                        mu0_lower_bound, u0_eval)
+from fibercell import limit
 from fibercell.limit import J01, bessel_j0, bessel_j0_zero, bessel_j1
 
 
@@ -247,3 +248,24 @@ def test_eigendata_holds_the_tail_mode(params, geometry):
     assert params.eigendata.shape == (params.n_terms + 1, 2)
     mu_next = (bessel_j0_zero(params.n_terms + 1) / geometry.radius) ** 2
     assert params.eigendata[-1, 0] == pytest.approx(mu_next, rel=1e-14)
+
+
+def test_delta_check_is_delta_at_the_root(params):
+    for root in limit_eigenvalues(params, 1000):
+        assert root.delta_check == delta(root.lam, params)
+
+
+def test_roots_evaluate_no_lambda_twice(params, monkeypatch):
+    seen = []
+
+    def recording_delta(lam, p):
+        seen.append(lam)
+        return delta(lam, p)
+
+    monkeypatch.setattr(limit, "delta", recording_delta)
+    limit_eigenvalues(params, 1000)
+    # every bisection starts at the same midpoint: split the calls there
+    starts = [i for i, lam in enumerate(seen) if lam == seen[0]] + [len(seen)]
+    assert len(starts) == 1001
+    for a, b in zip(starts, starts[1:]):
+        assert len(set(seen[a:b])) == b - a

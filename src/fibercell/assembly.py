@@ -10,7 +10,7 @@ the mode problem, then scale and add those parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +57,9 @@ class CellOperators:
 
         K = K_F + eps^-2 K_M + gamma (eps^2 M_F + M_M),   M = M_F + M_M.
 
-    Build one set per mesh and pass it to every pencil of that mesh.
+    The production path (``convergence_sweep``) builds one set per mesh
+    and passes it to every pencil of that mesh; the oracles build their
+    own.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -100,17 +102,6 @@ class CellOperators:
         _check_weights(w_fiber, w_matrix)
         return self._csr(w_fiber * self.mass_fiber + w_matrix * self.mass_matrix)
 
-    def pencil(self, eps: float, gamma: float) -> "ModePencil":
-        """Pencil of one vertical mode; see ``assemble_mode_pencil``."""
-        if not (0.0 < eps <= 1.0):
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        K = self._csr(self.stiff_fiber + eps ** -2 * self.stiff_matrix
-                      + gamma * (eps ** 2 * self.mass_fiber + self.mass_matrix))
-        M = self._csr(self.mass_fiber + self.mass_matrix)
-        return ModePencil(K=K, M=M)
-
 
 def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
                          operators: CellOperators = None) -> ModePencil:
@@ -126,9 +117,15 @@ def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
     operators : CellOperators of ``mesh``, optional
         Built here, and dropped after the call, when not given.
     """
-    if operators is None:
-        operators = CellOperators(mesh)
-    return operators.pencil(eps, gamma)
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if gamma <= 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    ops = CellOperators(mesh) if operators is None else operators
+    K = ops._csr(ops.stiff_fiber + eps ** -2 * ops.stiff_matrix
+                 + gamma * (eps ** 2 * ops.mass_fiber + ops.mass_matrix))
+    M = ops._csr(ops.mass_fiber + ops.mass_matrix)
+    return ModePencil(K=K, M=M)
 
 
 def assemble_dirichlet_disk(mesh: TriMesh):
@@ -151,12 +148,8 @@ def assemble_dirichlet_disk(mesh: TriMesh):
     if len(interior) == 0:
         raise ValueError("no interior disk nodes; mesh too coarse")
 
-    sub = TriMesh(vertices=mesh.vertices, triangles=fiber_tris,
-                  tags=np.full(len(fiber_tris), FIBER),
-                  interface_nodes=mesh.interface_nodes,
-                  boundary_nodes=mesh.boundary_nodes,
-                  geometry=mesh.geometry, h=mesh.h)
-    ops = CellOperators(sub)
+    ops = CellOperators(replace(mesh, triangles=fiber_tris,
+                                tags=np.full(len(fiber_tris), FIBER)))
     K_D = ops.stiffness(1.0, 1.0)[interior][:, interior].tocsr()
     M_D = ops.mass(1.0, 1.0)[interior][:, interior].tocsr()
     return K_D, M_D, interior

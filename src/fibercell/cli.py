@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .assembly import CellOperators
+from .assembly import assemble_mode_pencil
 from .config import ConfigError, RunConfig, parse_config, write_json, write_table
 from .eigensolve import dense_eigen_oracle, smallest_eigenpairs
 from .limit import (DispersionParams, limit_eigenvalues, mean_u0_closed,
@@ -93,7 +93,8 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
 
     if name == "converge":
         report = convergence_sweep(geometry, config.eps_list, config.n_div,
-                                   config.k_total, eig_tol=config.eig_tol)
+                                   config.k_total, eig_tol=config.eig_tol,
+                                   root_tol=config.root_tol)
         report.write_csv(os.path.join(out, "convergence.csv"), tag)
         report.write_json(os.path.join(out, "convergence.json"), tag)
         return 0
@@ -122,16 +123,15 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
 
     # Kronecker 3D oracle vs discrete mode merge on a coarse mesh
     coarse = generate_mesh(geometry, 12)
-    operators = CellOperators(coarse)
     for eps in (1.0, 0.2):
-        v3 = kron_3d_oracle(coarse, 8, eps, 8, operators=operators)
-        vm = discrete_mode_merge(coarse, 8, eps, 8, operators=operators)
+        v3 = kron_3d_oracle(coarse, 8, eps, 8)
+        vm = discrete_mode_merge(coarse, 8, eps, 8)
         rel = np.max(np.abs(v3 - vm) / np.abs(vm))
         if rel > 1e-9:
             failures.append(f"kron/merge mismatch {rel:.2e} at eps={eps}")
 
     # ARPACK shift-invert certified by an inertia count vs dense on a coarse pencil
-    pencil = operators.pencil(0.3, (np.pi / geometry.height) ** 2)
+    pencil = assemble_mode_pencil(coarse, 0.3, (np.pi / geometry.height) ** 2)
     dense_vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
     krylov = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)
     for pair, ref in zip(krylov, dense_vals[:6]):

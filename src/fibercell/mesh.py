@@ -15,7 +15,8 @@ above the quality floor.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,10 @@ class QualityReport:
 
 @dataclass
 class TriMesh:
-    """Immutable fitted triangulation of the cell cross-section.
+    """Fitted triangulation of the cell cross-section.
+
+    The four fields are all a mesh stores; the rest is derived on first
+    read and cached, so ``dataclasses.replace`` never carries it over.
 
     Attributes
     ----------
@@ -54,28 +58,30 @@ class TriMesh:
         Counter-clockwise vertex triples.
     tags : (nt,) int array
         FIBER (0) or MATRIX (1) per triangle.
-    interface_nodes : int array
-        Vertex indices lying on the circle |p - center| = radius.
-    boundary_nodes : int array
-        Vertex indices on the outer square boundary.
     geometry : CellGeometry
-    h : float
-        Grid spacing side / n_div.
+    interface_nodes : int array (derived)
+        Vertex indices within 1e-12 * side of the circle
+        |p - center| = radius.
+    areas() : (nt,) float array (derived)
+        Signed triangle areas.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     tags: np.ndarray
-    interface_nodes: np.ndarray
-    boundary_nodes: np.ndarray
     geometry: CellGeometry
-    h: float
-    n_div: int = 0
-    _areas: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def interface_nodes(self) -> np.ndarray:
+        g = self.geometry
+        dist = _signed_distance(self.vertices, g.center, g.radius)
+        return np.flatnonzero(np.abs(dist) <= 1e-12 * g.side)
+
+    @cached_property
+    def _areas(self) -> np.ndarray:
+        return signed_areas(self.vertices, self.triangles)
 
     def areas(self) -> np.ndarray:
-        if self._areas is None:
-            self._areas = signed_areas(self.vertices, self.triangles)
         return self._areas
 
     def fiber_area(self) -> float:
@@ -162,16 +168,6 @@ def _signed_distance(points, center, radius) -> np.ndarray:
     return np.hypot(points[:, 0] - center[0], points[:, 1] - center[1]) - radius
 
 
-def _node_masks(vertices, center, radius, side):
-    """Masks of the vertices on the circle and on the outer square, both
-    within 1e-12 * side."""
-    tol = 1e-12 * side
-    on_circle = np.abs(_signed_distance(vertices, center, radius)) <= tol
-    on_square = ((np.abs(vertices) <= tol)
-                 | (np.abs(vertices - side) <= tol)).any(axis=1)
-    return on_circle, on_square
-
-
 def mesh_quality(mesh) -> QualityReport:
     """Angle/area/size summary of a mesh.
 
@@ -240,11 +236,8 @@ def generate_mesh(geometry: CellGeometry, n_div: int) -> TriMesh:
     centroids = vertices[triangles].mean(axis=1)
     tags = np.where(_signed_distance(centroids, center, r) < 0.0,
                     FIBER, MATRIX).astype(np.int64)
-    interface, boundary = _node_masks(vertices, center, r, geometry.side)
     return TriMesh(vertices=vertices, triangles=triangles, tags=tags,
-                   interface_nodes=np.flatnonzero(interface),
-                   boundary_nodes=np.flatnonzero(boundary),
-                   geometry=geometry, h=h, n_div=n_div)
+                   geometry=geometry)
 
 
 def _snap_to_circle(vertices, triangles, center, r, h, side) -> np.ndarray:
@@ -256,7 +249,8 @@ def _snap_to_circle(vertices, triangles, center, r, h, side) -> np.ndarray:
     Outer-boundary vertices never move.  Mutates ``vertices``; returns the
     on-circle mask.
     """
-    locked = _node_masks(vertices, center, r, side)[1]
+    tol = 1e-12 * side
+    locked = ((np.abs(vertices) <= tol) | (np.abs(vertices - side) <= tol)).any(axis=1)
 
     def project(idx):
         d = vertices[idx] - center
@@ -381,21 +375,11 @@ def write_mesh(mesh: TriMesh, path) -> None:
 
 
 def read_mesh(path, geometry: CellGeometry) -> TriMesh:
-    """Read the text format written by :func:`write_mesh` for the cell
-    ``geometry``, which gives the interface and boundary nodes; ``n_div``
-    and ``h`` follow from the grid nodes on the bottom edge."""
+    """Read the text format written by :func:`write_mesh` as a mesh of the
+    cell ``geometry``; nothing is inferred from the file."""
     with open(path) as fh:
         nv, nt = map(int, fh.readline().split())
         vertices = np.loadtxt(fh, max_rows=nv, ndmin=2)
         table = np.loadtxt(fh, dtype=np.int64, max_rows=nt, ndmin=2)
-    triangles, tags = table[:, :3].copy(), table[:, 3].copy()
-    # grid nodes on the bottom edge: n_div + 1 of them, spaced by h
-    xmin, ymin = vertices.min(axis=0)
-    side = vertices[:, 0].max() - xmin
-    n_div = int(np.count_nonzero(vertices[:, 1] - ymin <= 1e-12 * side)) - 1
-    h = side / n_div
-    interface_nodes, boundary_nodes = map(np.flatnonzero, _node_masks(
-        vertices, geometry.center, geometry.radius, geometry.side))
-    return TriMesh(vertices=vertices, triangles=triangles, tags=tags,
-                   interface_nodes=interface_nodes, boundary_nodes=boundary_nodes,
-                   geometry=geometry, h=h, n_div=n_div)
+    return TriMesh(vertices=vertices, triangles=table[:, :3].copy(),
+                   tags=table[:, 3].copy(), geometry=geometry)

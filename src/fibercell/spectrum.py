@@ -147,23 +147,23 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     return merged
 
 
-def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int,
-                   operators: CellOperators = None) -> np.ndarray:
+def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarray:
     """k smallest eigenvalues of the unseparated tensor-product pencil
 
         K3 = K2(1, eps^-2) x M1 + M2(eps^2, 1) x K1,   M3 = M2(1,1) x M1,
 
-    with the 2D factors from ``operators`` (built here if None) and the 1D
+    with the 2D factors from a CellOperators set built here and the 1D
     factors on n1d intervals of the height ``mesh.geometry.height``.  Dense
     when the product size allows it, the ARPACK shift-invert solve of
-    ``smallest_eigenpairs`` otherwise.
+    ``smallest_eigenpairs`` otherwise.  Refuses a mesh with more vertices
+    than the n_div = 40 grid has, 41^2 + 40^2 = 3281, whether generated or
+    read, and n1d > 32.
     """
-    if mesh.n_div and mesh.n_div > 40:
+    if len(mesh.vertices) > 41 ** 2 + 40 ** 2:
         raise ValueError("3D oracle is restricted to coarse meshes (n_div <= 40)")
     if n1d > 32:
         raise ValueError("3D oracle is restricted to n1d <= 32")
-    if operators is None:
-        operators = CellOperators(mesh)
+    operators = CellOperators(mesh)
     K1, M1 = assemble_1d(n1d, mesh.geometry.height)
     K3 = (sp.kron(operators.stiffness(1.0, eps ** -2), M1)
           + sp.kron(operators.mass(eps ** 2, 1.0), K1)).tocsr()
@@ -171,14 +171,12 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int,
     return _smallest_values(K3, M3, k)
 
 
-def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, k: int,
-                        operators: CellOperators = None) -> np.ndarray:
+def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarray:
     """Merge of 2D pencil spectra over the *discrete* vertical eigenvalues
     of (K1, M1) on n1d intervals of the height ``mesh.geometry.height``;
     equals the 3D tensor spectrum exactly in exact arithmetic.  Mode
-    pencils come from ``operators`` (built here if None)."""
-    if operators is None:
-        operators = CellOperators(mesh)
+    pencils come from one CellOperators set built here."""
+    operators = CellOperators(mesh)
     K1, M1 = assemble_1d(n1d, mesh.geometry.height)
     gammas, _ = dense_eigen_oracle(K1, M1)
     per_mode = min(k, len(mesh.vertices))
@@ -265,14 +263,16 @@ def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
     return smallest_eigenpairs(K_D, M_D, 1, tol=tol)[0].value
 
 
-def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
-                      k_total: int, eig_tol: float = 1e-9) -> ConvergenceReport:
+def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int,
+                      eig_tol: float = 1e-9,
+                      root_tol: float = 1e-12) -> ConvergenceReport:
     """Full epsilon sweep against the limit spectrum.
 
     The FEM side and the limit roots share one cell: the sweep meshes
     ``geometry`` at ``n_div`` itself.  The eps values run one after
     another on one CellOperators set and one midpoint rule of that mesh.
-    Merged eigenvalues pair with the limit root of the same mode label j.
+    Merged eigenvalues pair with the limit root of the same mode label j,
+    bracketed to the relative tolerance ``root_tol``.
     The bound column is mu1 + eps^2 (k pi / L)^2 with the k-th *merged*
     rank, the slack subtracts lambda_eps, and c_h reports the same-mesh
     overestimate of mu1 so the h-effect can be separated from the
@@ -283,7 +283,8 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int,
         raise ValueError("eps_list must be strictly decreasing")
     mesh = generate_mesh(geometry, n_div)
     params = DispersionParams(geometry=geometry)
-    roots = {root.j: root for root in limit_eigenvalues(params, k_total)}
+    roots = {root.j: root for root in limit_eigenvalues(params, k_total,
+                                                        rel_tol=root_tol)}
     mu1_h = discrete_disk_mu1(mesh, tol=eig_tol)
     c_h = mu1_h - params.mu1
     L = geometry.height

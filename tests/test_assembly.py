@@ -13,10 +13,7 @@ def _single_triangle_mesh(geometry):
     """Right triangle (0,0),(1,0),(0,1) tagged FIBER."""
     return TriMesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                    triangles=np.array([[0, 1, 2]]),
-                   tags=np.array([FIBER]),
-                   interface_nodes=np.array([], dtype=int),
-                   boundary_nodes=np.array([], dtype=int),
-                   geometry=geometry, h=1.0)
+                   tags=np.array([FIBER]), geometry=geometry)
 
 
 def test_stiffness_constants_in_kernel(mesh16):
@@ -167,9 +164,6 @@ def test_matrix_export_format(tmp_path, mesh16):
 def test_degenerate_triangle_rejected(geometry):
     bad = TriMesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
                   triangles=np.array([[0, 1, 2]]),
-                  tags=np.array([FIBER]),
-                  interface_nodes=np.array([], dtype=int),
-                  boundary_nodes=np.array([], dtype=int),
-                  geometry=geometry, h=1.0)
+                  tags=np.array([FIBER]), geometry=geometry)
     with pytest.raises(ValueError):
         fc.CellOperators(bad)

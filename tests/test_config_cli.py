@@ -139,6 +139,18 @@ def test_cli_converge_ignores_j_max(tmp_path):
     assert all(other == rows[0] for other in rows[1:])
 
 
+def test_cli_converge_honours_root_tol(tmp_path):
+    # converge brackets its limit roots to the same root_tol as limit-spectrum
+    cfg = _write_config(tmp_path, {"n_div": 16, "eps_list": [0.4], "k_total": 3,
+                                   "root_tol": 1e-3})
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert main(["limit-spectrum", "--config", cfg, "--out", str(tmp_path / "l")]) == 0
+    rows = json.loads((tmp_path / "c" / "convergence.json").read_text())["rows"]
+    roots = json.loads((tmp_path / "l" / "limit_roots.json").read_text())["roots"]
+    lam = {root["j"]: root["lambda"] for root in roots}
+    assert rows and all(row["lambda_limit"] == lam[row["j"]] for row in rows)
+
+
 def test_cli_validate_passes(tmp_path):
     out = tmp_path / "out"
     code = main(["validate", "--config", _fast_config(tmp_path),

@@ -1,13 +1,14 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import fibercell as fc
 from fibercell import FIBER, MATRIX
-from fibercell.mesh import signed_areas, structured_mesh, unique_edges
+from fibercell.mesh import TriMesh, signed_areas, structured_mesh, unique_edges
 
 
 # content_hash of reference meshes centred at (0.5, 0.5): any change to the
@@ -136,7 +137,7 @@ def test_mesh_text_roundtrip(tmp_path, geometry, mesh16):
     assert np.array_equal(back.tags, mesh16.tags)
     assert np.allclose(back.vertices, mesh16.vertices, rtol=0, atol=0)
     assert np.array_equal(back.interface_nodes, mesh16.interface_nodes)
-    assert (back.n_div, back.h) == (16, mesh16.h)
+    assert back.geometry == geometry
     head = path.read_text().splitlines()[0].split()
     assert head == [str(len(mesh16.vertices)), str(len(mesh16.triangles))]
 
@@ -149,9 +150,23 @@ def test_mesh_text_bytes_pinned(tmp_path, mesh16):
         "df548a04b63c36af131d8d48b3cebdd9397ec6d29c06df2073b51aab4cfee7a2")
 
 
-def test_boundary_nodes_count(geometry, mesh16):
-    # 4 * n_div grid points on the outer square
-    assert len(mesh16.boundary_nodes) == 4 * 16
+def test_mesh_stores_four_fields(mesh16):
+    # a hand-built copy derives the same interface nodes as the original
+    assert [f.name for f in fields(TriMesh)] == ["vertices", "triangles", "tags",
+                                                 "geometry"]
+    copy = TriMesh(vertices=mesh16.vertices.copy(), triangles=mesh16.triangles.copy(),
+                   tags=mesh16.tags.copy(), geometry=mesh16.geometry)
+    assert np.array_equal(copy.interface_nodes, mesh16.interface_nodes)
+
+
+def test_replace_derives_areas_afresh(mesh16):
+    # the areas cache is no field, so replace cannot carry a stale one over
+    mesh16.areas()
+    sub = replace(mesh16, triangles=mesh16.triangles[:10], tags=mesh16.tags[:10])
+    areas = signed_areas(mesh16.vertices, mesh16.triangles[:10])
+    assert np.array_equal(sub.areas(), areas)
+    assert sub.fiber_area() == float(areas[sub.tags == FIBER].sum())
+    assert sub.matrix_area() == float(areas[sub.tags == MATRIX].sum()) > 0.0
 
 
 def test_unique_edges_shape(mesh16):

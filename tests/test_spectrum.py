@@ -5,6 +5,7 @@ import pytest
 
 import fibercell as fc
 from fibercell import eigensolve, spectrum
+from fibercell.mesh import TriMesh
 
 
 def test_uniform_mode_ground_state(mesh16):
@@ -124,8 +125,6 @@ def test_operator_set_serves_every_pencil(mesh16):
     merged = fc.merged_spectrum(mesh16, 0.3, 6, operators=ops)
     assert [e.value for e in merged] == [e.value for e in
                                          fc.merged_spectrum(mesh16, 0.3, 6)]
-    assert np.array_equal(fc.discrete_mode_merge(mesh16, 6, 0.2, 6, operators=ops),
-                          fc.discrete_mode_merge(mesh16, 6, 0.2, 6))
 
 
 def test_discrete_merge_subset_matches_full_dense(mesh12):
@@ -189,13 +188,20 @@ def test_kron_size_guards(geometry, mesh16):
 
 
 def test_kron_size_guard_survives_mesh_file(tmp_path, geometry, mesh64):
-    # read_mesh used to return n_div=0, which skipped the n_div <= 40 guard
+    # the guard counts vertices, so a mesh read from a file is refused too
     path = tmp_path / "mesh64.txt"
     fc.write_mesh(mesh64, path)
     back = fc.read_mesh(path, geometry)
-    assert (back.n_div, back.h) == (64, mesh64.h)
+    assert len(back.vertices) == len(mesh64.vertices)
     with pytest.raises(ValueError, match="n_div <= 40"):
         fc.kron_3d_oracle(back, 8, 0.5, 4)
+
+
+def test_kron_size_guard_refuses_hand_built_mesh(mesh64):
+    mesh = TriMesh(vertices=mesh64.vertices, triangles=mesh64.triangles,
+                   tags=mesh64.tags, geometry=mesh64.geometry)
+    with pytest.raises(ValueError, match="n_div <= 40"):
+        fc.kron_3d_oracle(mesh, 8, 0.5, 4)
 
 
 def test_eigenvector_error_decreases_with_eps(mesh16, params):

@@ -9,23 +9,20 @@ tying the two together.
 __version__ = "0.1.0"
 
 from .geometry import CellGeometry, GeometryError, build_cell_geometry
-from .mesh import (FIBER, MATRIX, MeshQualityError, QualityReport, TriMesh,
-                   generate_mesh, mesh_quality, read_mesh, structured_mesh,
-                   write_mesh)
-from .assembly import (CellOperators, ModePencil, assemble_1d,
-                       assemble_dirichlet_disk, assemble_mode_pencil,
-                       export_matrix)
-from .eigensolve import (EigenPair, NotSPDError, SPDFactor, cluster_widths,
-                         dense_eigen_oracle, factorize_spd, inertia_count,
-                         smallest_eigenpairs)
+from .mesh import (FIBER, MATRIX, MeshQualityError, MidpointRule, QualityReport,
+                   TriMesh, generate_mesh, mesh_quality, read_mesh,
+                   structured_mesh, write_mesh)
+from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
+                       assemble_mode_pencil)
+from .eigensolve import (EigenPair, NotSPDError, SPDFactor, dense_eigen_oracle,
+                         factorize_spd, inertia_count, smallest_eigenpairs)
 from .limit import (DispersionParams, LimitEigenfunction, LimitRoot,
                     bessel_j0, bessel_j0_zero, bessel_j0_zeros, bessel_j1, delta,
                     disk_radial_eigendata, limit_eigenvalues, mean_u0_closed,
                     mean_u0_series, mu0_lower_bound, u0_eval, write_roots_csv,
                     write_roots_json)
-from .spectrum import (ConvergenceReport, MergedEigenvalue, MidpointRule,
-                       ModeSpectrum, ReportRow, convergence_sweep,
-                       discrete_disk_mu1, discrete_mode_merge, eigenvector_error,
-                       kron_3d_oracle, merged_spectrum, midpoint_rule,
-                       mode_spectrum)
+from .spectrum import (ConvergenceReport, MergedEigenvalue, ModeSpectrum,
+                       ReportRow, convergence_sweep, discrete_disk_mu1,
+                       discrete_mode_merge, eigenvector_error, kron_3d_oracle,
+                       merged_spectrum, mode_spectrum)
 from .config import ConfigError, RunConfig, parse_config, validate_config

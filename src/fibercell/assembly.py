@@ -10,24 +10,12 @@ the mode problem, then scale and add those parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import FIBER, TriMesh
-
-
-@dataclass(frozen=True)
-class ModePencil:
-    """Generalized pencil of one vertical mode: the matrices K and M.
-
-    K = stiffness(1, eps^-2) + gamma * mass(eps^2, 1), M = mass(1, 1), where
-    the weight pairs are (fiber, matrix).
-    """
-
-    K: sp.csr_matrix
-    M: sp.csr_matrix
 
 
 def _element_geometry(mesh: TriMesh):
@@ -104,8 +92,10 @@ class CellOperators:
 
 
 def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
-                         operators: CellOperators = None) -> ModePencil:
-    """Pencil of the 2D problem obtained by separating one vertical mode.
+                         operators: CellOperators = None):
+    """Pencil (K, M) of the 2D problem obtained by separating one vertical
+    mode: K = stiffness(1, eps^-2) + gamma * mass(eps^2, 1), M = mass(1, 1),
+    with weight pairs (fiber, matrix), both CSR on the operators' pattern.
 
     Parameters
     ----------
@@ -125,7 +115,7 @@ def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
     K = ops._csr(ops.stiff_fiber + eps ** -2 * ops.stiff_matrix
                  + gamma * (eps ** 2 * ops.mass_fiber + ops.mass_matrix))
     M = ops._csr(ops.mass_fiber + ops.mass_matrix)
-    return ModePencil(K=K, M=M)
+    return K, M
 
 
 def assemble_dirichlet_disk(mesh: TriMesh):
@@ -173,12 +163,3 @@ def assemble_1d(n: int, L: float):
     M1 = sp.diags([off_m, main_m, off_m], [-1, 0, 1], format="csr")
     return K1, M1
 
-
-def export_matrix(A: sp.spmatrix, path) -> None:
-    """Coordinate text export of the upper triangle: header ``n nnz`` then
-    one ``i j value`` line per stored entry."""
-    coo = sp.triu(A.tocsr(), k=0).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    np.savetxt(path, np.column_stack([coo.row, coo.col, coo.data])[order],
-               fmt=["%d", "%d", "%.17g"], header=f"{A.shape[0]} {coo.nnz}",
-               comments="")

@@ -131,9 +131,9 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
             failures.append(f"kron/merge mismatch {rel:.2e} at eps={eps}")
 
     # ARPACK shift-invert certified by an inertia count vs dense on a coarse pencil
-    pencil = assemble_mode_pencil(coarse, 0.3, (np.pi / geometry.height) ** 2)
-    dense_vals, _ = dense_eigen_oracle(pencil.K, pencil.M)
-    krylov = smallest_eigenpairs(pencil.K, pencil.M, 6, tol=config.eig_tol)
+    K, M = assemble_mode_pencil(coarse, 0.3, (np.pi / geometry.height) ** 2)
+    dense_vals, _ = dense_eigen_oracle(K, M)
+    krylov = smallest_eigenpairs(K, M, 6, tol=config.eig_tol)
     for pair, ref in zip(krylov, dense_vals[:6]):
         if abs(pair.value - ref) > 1e-9 * max(1.0, abs(ref)):
             failures.append(

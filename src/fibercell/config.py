@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from .geometry import CellGeometry, build_cell_geometry
@@ -40,14 +41,10 @@ class RunConfig:
         return build_cell_geometry(self.side, tuple(self.center), self.radius,
                                    self.height)
 
-    def canonical_document(self) -> dict:
-        doc = asdict(self)
-        doc["center"] = list(doc["center"])
-        return doc
-
     def config_hash(self) -> str:
         # the hash identifies the numeric run, not where it is written
-        doc = self.canonical_document()
+        doc = asdict(self)
+        doc["center"] = list(doc["center"])
         doc.pop("out_dir")
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -79,8 +76,9 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _is_number(value, kind=(int, float)) -> bool:
-    # bool subclasses int, but a JSON true/false is not a number
-    return isinstance(value, kind) and not isinstance(value, bool)
+    # bool subclasses int and json.load reads NaN/Infinity; none is a number here
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def validate_config(doc: dict) -> RunConfig:
@@ -94,7 +92,7 @@ def validate_config(doc: dict) -> RunConfig:
              f"n_div: must be an integer >= 8, got {merged['n_div']!r}")
     for key in ("side", "radius", "height", "eig_tol", "root_tol"):
         _require(_is_number(merged[key]) and merged[key] > 0,
-                 f"{key}: must be positive, got {merged[key]!r}")
+                 f"{key}: must be finite and positive, got {merged[key]!r}")
         merged[key] = float(merged[key])
     for key in ("j_max", "k_total", "n_terms"):
         _require(_is_number(merged[key], int) and merged[key] >= 1,
@@ -104,7 +102,7 @@ def validate_config(doc: dict) -> RunConfig:
     center = merged["center"]
     _require(isinstance(center, (list, tuple)) and len(center) == 2
              and all(_is_number(v) for v in center),
-             f"center: must be a pair of numbers, got {center!r}")
+             f"center: must be a pair of finite numbers, got {center!r}")
     eps_list = merged["eps_list"]
     _require(isinstance(eps_list, list) and len(eps_list) >= 1
              and all(_is_number(v) and 0 < v <= 1 for v in eps_list),

@@ -245,17 +245,3 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     idx = int(np.argmax(np.abs(v)))
     return -v if v[idx] < 0 else v
 
-
-def cluster_widths(values, rel_gap: float = 1e-6) -> list[int]:
-    """Sizes of near-degenerate clusters in an ascending eigenvalue list."""
-    widths = []
-    i = 0
-    values = list(values)
-    while i < len(values):
-        j = i + 1
-        while (j < len(values)
-               and abs(values[j] - values[j - 1]) <= rel_gap * max(1.0, abs(values[j]))):
-            j += 1
-        widths.append(j - i)
-        i = j
-    return widths

@@ -39,12 +39,13 @@ class CellGeometry:
     height: float
 
     def __post_init__(self):
-        if self.side <= 0 or self.radius <= 0 or self.height <= 0:
-            raise GeometryError(
-                "side, radius and height must be positive, got "
-                f"side={self.side}, radius={self.radius}, height={self.height}"
-            )
         cx, cy = self.center
+        dims = (self.side, self.radius, self.height)
+        if not all(map(math.isfinite, (*dims, cx, cy))) or min(dims) <= 0:
+            raise GeometryError(
+                "side, center, radius and height must be finite, and side, radius "
+                f"and height positive, got side={self.side}, center={self.center}, "
+                f"radius={self.radius}, height={self.height}")
         wall = min(cx, cy, self.side - cx, self.side - cy)
         if wall <= self.radius:
             raise GeometryError(
@@ -69,8 +70,8 @@ def build_cell_geometry(side=1.0, center=(0.5, 0.5), radius=0.25, height=1.0) ->
     Raises
     ------
     GeometryError
-        If any dimension is non-positive or the disk touches/crosses the
-        square boundary.
+        If any dimension is non-finite or non-positive, or the disk
+        touches/crosses the square boundary.
     """
     return CellGeometry(float(side), (float(center[0]), float(center[1])),
                         float(radius), float(height))

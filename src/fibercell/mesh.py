@@ -44,12 +44,29 @@ class QualityReport:
     h_max: float
 
 
-@dataclass
+@dataclass(frozen=True)
+class MidpointRule:
+    """Edge-midpoint quadrature of a mesh (exact for quadratics), split by
+    material.  Each point is the midpoint of one triangle edge, given by the
+    vertex indices of the edge's two ends and weighted by a third of the
+    triangle's area; ``fiber_rho`` is the distance of each fiber point from
+    the fiber centre, clipped to [0, r]."""
+
+    fiber_ends: np.ndarray       # (2, n_fiber_points)
+    fiber_weights: np.ndarray
+    fiber_rho: np.ndarray
+    matrix_ends: np.ndarray      # (2, n_matrix_points)
+    matrix_weights: np.ndarray
+
+
+@dataclass(eq=False)
 class TriMesh:
     """Fitted triangulation of the cell cross-section.
 
     The four fields are all a mesh stores; the rest is derived on first
     read and cached, so ``dataclasses.replace`` never carries it over.
+    Two meshes are equal only if they are the same object, so a mesh can
+    key a set or dict; compare ``content_hash()`` for equal contents.
 
     Attributes
     ----------
@@ -64,6 +81,8 @@ class TriMesh:
         |p - center| = radius.
     areas() : (nt,) float array (derived)
         Signed triangle areas.
+    midpoint_rule : MidpointRule (derived)
+        Edge-midpoint quadrature split by material.
     """
 
     vertices: np.ndarray
@@ -83,6 +102,22 @@ class TriMesh:
 
     def areas(self) -> np.ndarray:
         return self._areas
+
+    @cached_property
+    def midpoint_rule(self) -> MidpointRule:
+        tri = self.triangles
+        ends = np.stack([tri, np.roll(tri, -1, axis=1)])      # (2, nt, 3)
+        weights = np.repeat(self.areas()[:, None] / 3.0, 3, axis=1)
+        fiber = self.tags == FIBER
+        matrix = self.tags == MATRIX
+        g = self.geometry
+        mids = 0.5 * (self.vertices[ends[0][fiber]] + self.vertices[ends[1][fiber]])
+        rho = np.hypot(mids[..., 0] - g.center[0], mids[..., 1] - g.center[1])
+        return MidpointRule(fiber_ends=ends[:, fiber].reshape(2, -1),
+                            fiber_weights=weights[fiber].ravel(),
+                            fiber_rho=np.clip(rho, 0.0, g.radius).ravel(),
+                            matrix_ends=ends[:, matrix].reshape(2, -1),
+                            matrix_weights=weights[matrix].ravel())
 
     def fiber_area(self) -> float:
         return float(self.areas()[self.tags == FIBER].sum())

@@ -26,7 +26,7 @@ from .eigensolve import (EigenPair, dense_eigen_oracle, smallest_eigenpairs,
                          DENSE_ORACLE_MAX_N)
 from .geometry import CellGeometry
 from .limit import (DispersionParams, LimitRoot, limit_eigenvalues, u0_eval)
-from .mesh import FIBER, MATRIX, TriMesh, generate_mesh
+from .mesh import TriMesh, generate_mesh
 
 
 @dataclass
@@ -107,9 +107,8 @@ def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
     if j < 1:
         raise ValueError("mode index j must be >= 1")
     gamma = (j * math.pi / L) ** 2
-    pencil = assemble_mode_pencil(mesh, eps, gamma, operators=operators)
-    return ModeSpectrum(pairs=smallest_eigenpairs(pencil.K, pencil.M, k, tol=tol,
-                                                  below=below))
+    K, M = assemble_mode_pencil(mesh, eps, gamma, operators=operators)
+    return ModeSpectrum(pairs=smallest_eigenpairs(K, M, k, tol=tol, below=below))
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
@@ -182,8 +181,8 @@ def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarr
     per_mode = min(k, len(mesh.vertices))
     values = []
     for gamma in gammas:
-        pencil = assemble_mode_pencil(mesh, eps, float(gamma), operators=operators)
-        values.extend(_smallest_values(pencil.K, pencil.M, per_mode))
+        K, M = assemble_mode_pencil(mesh, eps, float(gamma), operators=operators)
+        values.extend(_smallest_values(K, M, per_mode))
     values.sort()
     return np.array(values[:k])
 
@@ -196,54 +195,21 @@ def _smallest_values(K, M, k: int) -> np.ndarray:
     return np.array([p.value for p in smallest_eigenpairs(K, M, k)])
 
 
-@dataclass(frozen=True)
-class MidpointRule:
-    """Edge-midpoint quadrature of a mesh (exact for quadratics), split by
-    material.  Each point is the midpoint of one triangle edge, given by the
-    vertex indices of the edge's two ends and weighted by a third of the
-    triangle's area; ``fiber_rho`` is the distance of each fiber point from
-    the fiber centre, clipped to [0, r]."""
-
-    fiber_ends: np.ndarray       # (2, n_fiber_points)
-    fiber_weights: np.ndarray
-    fiber_rho: np.ndarray
-    matrix_ends: np.ndarray      # (2, n_matrix_points)
-    matrix_weights: np.ndarray
-
-
-def midpoint_rule(mesh: TriMesh) -> MidpointRule:
-    """The edge-midpoint rule of ``mesh``; build it once per mesh."""
-    tri = mesh.triangles
-    ends = np.stack([tri, np.roll(tri, -1, axis=1)])      # (2, nt, 3)
-    weights = np.repeat(mesh.areas()[:, None] / 3.0, 3, axis=1)
-    fiber = mesh.tags == FIBER
-    matrix = mesh.tags == MATRIX
-    geometry = mesh.geometry
-    mids = 0.5 * (mesh.vertices[ends[0][fiber]] + mesh.vertices[ends[1][fiber]])
-    rho = np.hypot(mids[..., 0] - geometry.center[0], mids[..., 1] - geometry.center[1])
-    return MidpointRule(fiber_ends=ends[:, fiber].reshape(2, -1),
-                        fiber_weights=weights[fiber].ravel(),
-                        fiber_rho=np.clip(rho, 0.0, geometry.radius).ravel(),
-                        matrix_ends=ends[:, matrix].reshape(2, -1),
-                        matrix_weights=weights[matrix].ravel())
-
-
-def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh,
-                      rule: MidpointRule = None):
+def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh):
     """L2 errors of the separated FEM field against the limit eigenvector.
 
     The FEM pair is scale/sign-aligned to the limit field by the full-cell
     L2 inner product; the vertical factors sin(j pi x3/L) are shared and
     normalized, so both errors reduce to 2D integrals evaluated with the
-    edge-midpoint rule ``rule`` of ``mesh`` (built here if None):
+    edge-midpoint rule ``mesh.midpoint_rule`` (built on first read, then
+    cached on the mesh):
 
     * e_F: relative L2(fiber) error of alpha*w against lam*u0 + 1,
     * e_M: relative L2(matrix) error of alpha*w against the constant 1.
     """
     if root.j != j:
         raise ValueError(f"mode label mismatch: pair from mode {j}, root mode {root.j}")
-    if rule is None:
-        rule = midpoint_rule(mesh)
+    rule = mesh.midpoint_rule
     lam = root.lam
     w = pair.vector
     w_f = 0.5 * (w[rule.fiber_ends[0]] + w[rule.fiber_ends[1]])
@@ -270,7 +236,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
 
     The FEM side and the limit roots share one cell: the sweep meshes
     ``geometry`` at ``n_div`` itself.  The eps values run one after
-    another on one CellOperators set and one midpoint rule of that mesh.
+    another on one CellOperators set of that mesh, and its midpoint rule.
     Merged eigenvalues pair with the limit root of the same mode label j,
     bracketed to the relative tolerance ``root_tol``.
     The bound column is mu1 + eps^2 (k pi / L)^2 with the k-th *merged*
@@ -289,7 +255,6 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
     c_h = mu1_h - params.mu1
     L = geometry.height
     operators = CellOperators(mesh)
-    rule = midpoint_rule(mesh)
 
     rows, reorderings = [], []
     for eps in eps_list:
@@ -298,7 +263,7 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
             lam0_k = (k * math.pi / L) ** 2
             bound = params.mu1 + eps ** 2 * lam0_k
             root = roots[entry.j]
-            err_f, err_m = eigenvector_error(entry.pair, entry.j, root, mesh, rule=rule)
+            err_f, err_m = eigenvector_error(entry.pair, entry.j, root, mesh)
             rows.append(ReportRow(
                 eps=eps, k=k, j=entry.j, rank=entry.rank,
                 lambda_eps=entry.value, bound=bound,

@@ -144,12 +144,12 @@ def test_criterion_9_simplicity(sweep, params, mesh64):
     for row in below:
         assert row.lambda_eps >= mu0 - 1e-6
         spec = fc.mode_spectrum(mesh64, eps, row.j, params.geometry.height, 2)
-        widths = fc.cluster_widths(spec.values, rel_gap=1e-6)
-        assert widths[0] == 1, (
+        v1, v2 = spec.values
+        assert v2 - v1 > 1e-6 * max(1.0, abs(v2)), (
             f"mode {row.j} ground state not simple at eps={eps}")
         checked += 1
     _report(9, f"limit roots pairwise separated > 1e-8; {checked} below-mu1 "
-               f"pencil eigenvalues at eps={eps} all have cluster width 1")
+               f"pencil eigenvalues at eps={eps} all simple")
 
 
 def test_criterion_10_eigensolver_oracle(geometry, mesh16):
@@ -158,8 +158,8 @@ def test_criterion_10_eigensolver_oracle(geometry, mesh16):
     for eps in (1.0, 0.2):
         for j in (1, 2):
             gamma = (j * math.pi / geometry.height) ** 2
-            p = fc.assemble_mode_pencil(mesh12, eps, gamma)
-            pencils.append((f"mode eps={eps} j={j}", p.K, p.M, 6))
+            K, M = fc.assemble_mode_pencil(mesh12, eps, gamma)
+            pencils.append((f"mode eps={eps} j={j}", K, M, 6))
     K1, M1 = fc.assemble_1d(64, 1.0)
     pencils.append(("1d interval", K1, M1, 4))
     K_D, M_D, _ = fc.assemble_dirichlet_disk(mesh16)

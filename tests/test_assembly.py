@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import fibercell as fc
 from fibercell import FIBER
@@ -57,23 +56,23 @@ def test_mass_fiber_weight_scaling(mesh16):
 
 
 def test_mode_pencil_weights_and_definiteness(mesh16):
-    pencil = fc.assemble_mode_pencil(mesh16, 0.1, math.pi ** 2)
+    K, M = fc.assemble_mode_pencil(mesh16, 0.1, math.pi ** 2)
     # K = stiffness(1, eps^-2) + gamma*mass(eps^2, 1) exactly
     K_expect = (fc.CellOperators(mesh16).stiffness(1.0, 100.0)
                 + math.pi ** 2 * fc.CellOperators(mesh16).mass(0.01, 1.0))
-    assert abs(pencil.K - K_expect).max() < 1e-12
+    assert abs(K - K_expect).max() < 1e-12
     rng = np.random.default_rng(7)
     for _ in range(5):
-        x = rng.standard_normal(pencil.K.shape[0])
-        assert x @ (pencil.K @ x) > 0.0
+        x = rng.standard_normal(K.shape[0])
+        assert x @ (K @ x) > 0.0
 
 
 def test_mode_pencil_gamma_linearity(mesh16):
     # differencing two gammas recovers the weighted mass exactly
-    p1 = fc.assemble_mode_pencil(mesh16, 0.2, 1.0)
-    p2 = fc.assemble_mode_pencil(mesh16, 0.2, 3.0)
+    K1, _ = fc.assemble_mode_pencil(mesh16, 0.2, 1.0)
+    K2, _ = fc.assemble_mode_pencil(mesh16, 0.2, 3.0)
     M_w = fc.CellOperators(mesh16).mass(0.04, 1.0)
-    assert abs((p2.K - p1.K) / 2.0 - M_w).max() < 1e-12
+    assert abs((K2 - K1) / 2.0 - M_w).max() < 1e-12
 
 
 def test_mode_pencil_invalid_arguments(mesh16):
@@ -87,8 +86,8 @@ def test_uniform_pencil_ground_state_is_gamma(mesh16):
     # eps = 1 collapses the weights; lowest eigenvalue = gamma with a
     # constant eigenvector under the natural lateral boundary
     gamma = math.pi ** 2
-    pencil = fc.assemble_mode_pencil(mesh16, 1.0, gamma)
-    pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, 1)
+    K, M = fc.assemble_mode_pencil(mesh16, 1.0, gamma)
+    pairs = fc.smallest_eigenpairs(K, M, 1)
     assert pairs[0].value == pytest.approx(gamma, rel=1e-10)
 
 
@@ -144,21 +143,6 @@ def test_galerkin_monotonicity_disk(geometry, mesh16, mesh64):
         K_D, M_D, _ = fc.assemble_dirichlet_disk(mesh)
         vals.append(fc.smallest_eigenpairs(K_D, M_D, 1)[0].value)
     assert vals[0] > vals[1] > vals[2]
-
-
-def test_matrix_export_format(tmp_path, mesh16):
-    K = fc.CellOperators(mesh16).stiffness(1.0, 1.0)
-    path = tmp_path / "K.txt"
-    fc.export_matrix(K, path)
-    lines = path.read_text().splitlines()
-    n, nnz = map(int, lines[0].split())
-    assert n == K.shape[0]
-    assert nnz == len(lines) - 1
-    i, j, v = lines[1].split()
-    assert int(i) <= int(j)
-    # reconstruct and compare upper triangle
-    triu = sp.triu(K).tocoo()
-    assert nnz == triu.nnz
 
 
 def test_degenerate_triangle_rejected(geometry):

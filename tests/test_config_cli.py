@@ -69,6 +69,27 @@ def test_boolean_is_not_a_number(key, value):
         validate_config({key: value})
 
 
+@pytest.mark.parametrize("text", [
+    '{"center": [NaN, 0.5]}', '{"eig_tol": Infinity}', '{"root_tol": Infinity}',
+    '{"side": Infinity}', '{"height": Infinity}',
+], ids=["center", "eig_tol", "root_tol", "side", "height"])
+def test_non_finite_numbers_rejected(tmp_path, text):
+    # json.load reads NaN and Infinity; eig_tol=Infinity would turn off the
+    # residual gate
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(str(path))
+
+
+def test_cli_rejects_infinite_eig_tol(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"eig_tol": Infinity}')
+    code = main(["converge", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 def test_config_hash_stability():
     assert RunConfig().config_hash() == RunConfig().config_hash()
     assert RunConfig().config_hash() != RunConfig(radius=0.2).config_hash()

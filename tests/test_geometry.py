@@ -32,3 +32,13 @@ def test_height_independent_of_areas():
 def test_nonpositive_dimensions_rejected(side, radius, height):
     with pytest.raises(GeometryError):
         build_cell_geometry(side, (0.5, 0.5), radius, height)
+
+
+@pytest.mark.parametrize("side,center,radius,height", [
+    (1.0, (math.nan, 0.5), 0.25, 1.0), (math.inf, (0.5, 0.5), 0.25, 1.0),
+    (1.0, (0.5, 0.5), 0.25, math.inf)])
+def test_non_finite_dimensions_rejected(side, center, radius, height):
+    # min(nan, ...) <= radius is False, so the clearance check alone lets
+    # a NaN centre through
+    with pytest.raises(GeometryError, match="finite"):
+        build_cell_geometry(side, center, radius, height)

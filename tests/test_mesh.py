@@ -169,6 +169,15 @@ def test_replace_derives_areas_afresh(mesh16):
     assert sub.matrix_area() == float(areas[sub.tags == MATRIX].sum()) > 0.0
 
 
+def test_mesh_equality_is_identity(mesh16):
+    # field-wise equality compared arrays and raised "truth value of an
+    # array is ambiguous"
+    copy = replace(mesh16, vertices=mesh16.vertices.copy())
+    assert (copy == mesh16) is False
+    assert mesh16 == mesh16
+    assert len({mesh16, copy}) == 2
+
+
 def test_unique_edges_shape(mesh16):
     edges = unique_edges(mesh16.triangles)
     assert edges.shape[1] == 2

@@ -21,8 +21,8 @@ def test_high_contrast_ground_state_below_bound(mesh16, params):
 
 def test_gamma_swap_reproduces_other_mode(mesh16):
     s2 = fc.mode_spectrum(mesh16, 0.3, 2, 1.0, 3)
-    pencil = fc.assemble_mode_pencil(mesh16, 0.3, (2 * math.pi) ** 2)
-    pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, 3)
+    K, M = fc.assemble_mode_pencil(mesh16, 0.3, (2 * math.pi) ** 2)
+    pairs = fc.smallest_eigenpairs(K, M, 3)
     for a, b in zip(s2.pairs, pairs):
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
@@ -98,8 +98,8 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
     assert modes[0][:2] == (1, None) and modes[0][2][:2] == ["factor", 8]
     assert [j for j, *_ in modes] == list(range(1, len(modes) + 1))
     for j, below, calls, found in modes[1:-1]:
-        pencil = fc.assemble_mode_pencil(mesh16, 0.2, (j * math.pi) ** 2)
-        count = fc.inertia_count(pencil.K, pencil.M, below)
+        K, M = fc.assemble_mode_pencil(mesh16, 0.2, (j * math.pi) ** 2)
+        count = fc.inertia_count(K, M, below)
         assert found == count and calls[:2] == ["factor", count]
     j_end, _, calls, found = modes[-1]
     assert (found, calls) == (0, [])
@@ -133,8 +133,8 @@ def test_discrete_merge_subset_matches_full_dense(mesh12):
     gammas, _ = fc.dense_eigen_oracle(K1, M1)
     full = []
     for gamma in gammas:
-        pencil = fc.assemble_mode_pencil(mesh12, 0.2, float(gamma))
-        full.extend(fc.dense_eigen_oracle(pencil.K, pencil.M)[0][:8])
+        K, M = fc.assemble_mode_pencil(mesh12, 0.2, float(gamma))
+        full.extend(fc.dense_eigen_oracle(K, M)[0][:8])
     merged = fc.discrete_mode_merge(mesh12, 8, 0.2, 8)
     assert merged == pytest.approx(sorted(full)[:8], rel=1e-11)
 
@@ -240,14 +240,13 @@ def test_eigenvector_error_pinned(mesh16, params, j, e_f, e_m):
     pair = fc.EigenPair(value=root.lam, vector=w, residual=0.0)
     got = fc.eigenvector_error(pair, j, root, mesh16)
     assert got == pytest.approx((e_f, e_m), rel=1e-12, abs=0)
-    shared = fc.eigenvector_error(pair, j, root, mesh16,
-                                  rule=fc.midpoint_rule(mesh16))
+    shared = fc.eigenvector_error(pair, j, root, mesh16)
     assert shared == got
 
 
 def test_midpoint_rule_integrates_quadratics(mesh16, geometry):
     # exact for quadratics: int (x - 1/2)^2 over the cell is 1/12
-    rule = fc.midpoint_rule(mesh16)
+    rule = mesh16.midpoint_rule
     x = mesh16.vertices[:, 0]
     total = sum(q @ (0.5 * (x[e[0]] + x[e[1]]) - 0.5) ** 2
                 for e, q in ((rule.fiber_ends, rule.fiber_weights),
@@ -265,11 +264,11 @@ def test_eigenvector_error_label_mismatch(mesh16, params):
 
 
 def test_same_pencil_eigenvectors_m_orthogonal(mesh16):
-    pencil = fc.assemble_mode_pencil(mesh16, 0.2, math.pi ** 2)
-    pairs = fc.smallest_eigenpairs(pencil.K, pencil.M, 4)
+    K, M = fc.assemble_mode_pencil(mesh16, 0.2, math.pi ** 2)
+    pairs = fc.smallest_eigenpairs(K, M, 4)
     for i, a in enumerate(pairs):
         for b in pairs[i + 1:]:
-            assert abs(a.vector @ (pencil.M @ b.vector)) <= 1e-8
+            assert abs(a.vector @ (M @ b.vector)) <= 1e-8
 
 
 def test_sweep_invariants_small(geometry):

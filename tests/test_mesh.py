@@ -36,6 +36,44 @@ def test_golden_mesh_hashes(radius, n_div):
     assert mesh.content_hash() == GOLDEN_HASHES[radius, n_div]
 
 
+# one input per snap and repair branch that the centred goldens never reach:
+# content_hash of the mesh, or the MeshQualityError text
+BRANCH_GOLDENS = [
+    # flips of low-angle (not inscribed, not inverted) triangles rescue the
+    # mesh; a repair flipping only inscribed or inverted ones fails the gate
+    ((0.5, 0.495), 0.25, 64,
+     "b89c429f4fa11a770a2ac88aaab5654a0aa18b11ad1518801a3bb9103ac7e2cc"),
+    ((0.4, 0.55), 0.2, 64,
+     "05ac85fd298eb762b00f283ac9b3071ca6ede686cc19b290b8f16a81d24c0787"),
+    ((0.3, 0.3), 0.1, 12,
+     "1cd177353e5a544fae29062902d5234bc40be7e76df31c1ff7a15f9b2abf6dfb"),
+    # three sweeps flip an edge
+    ((0.4, 0.55), 0.11, 8,
+     "baf46c0ba1b8fb27a8bc011c53d43aadc0b35821d911ee485ef348039a616644"),
+    # pass 2 meets crossed edges whose nearer end is on the cell boundary
+    # and projects the other end instead
+    ((0.5, 0.5), 0.46, 8,
+     "1b9eaee862bd3fb21b90d3951eeeb4a65599d6ad7ef6877c66228f7d3fdb2ce7"),
+    ((0.5, 0.5), 0.49, 16,
+     "16546906d3e841958a79238def22c7179332f760c40fb134cb31dac7c047fbef"),
+    # the gate rejects what is left after low-angle flips
+    ((0.61, 0.52), 0.25, 48,
+     "snapped mesh below the quality floor at n_div=48, radius 0.25: triangle "
+     "6672 at centroid (0.721570, 0.748807) has min angle 11.09 deg (floor 15) "
+     "and area 3.097e-05"),
+]
+
+
+@pytest.mark.parametrize("center,radius,n_div,expected", BRANCH_GOLDENS)
+def test_branch_golden_meshes(center, radius, n_div, expected):
+    geometry = fc.build_cell_geometry(center=center, radius=radius)
+    try:
+        got = fc.generate_mesh(geometry, n_div).content_hash()
+    except fc.MeshQualityError as err:
+        got = str(err)
+    assert got == expected
+
+
 def test_unsnapped_uniform_mesh_min_angle_45():
     verts, tris = structured_mesh(1.0, 8)
     q = fc.mesh_quality((verts, tris))

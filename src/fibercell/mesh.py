@@ -2,14 +2,16 @@
 
 The generator starts from an ``n_div x n_div`` grid, each square split into
 four triangles through its center.  Vertices near the circle are projected
-radially onto it in two passes (close vertices first, then the nearest
-endpoint of every edge the circle still crosses), so that the fiber/matrix
-interface becomes a polygon whose vertices all lie on the circle.  Inscribed
-sliver triangles produced by snapping are removed by deterministic edge
-flips: each sweep selects its candidates and the edge adjacency with array
-operations and visits only those few triangles one by one.  The result is
-rejected unless every triangle keeps a positive area and a minimum angle
-above the quality floor.
+radially onto it in two passes: first every vertex within h/4 of it, then,
+by one array rule over the pass-1 positions, the end nearer the crossing of
+every edge the circle still crosses (the first such edge through a vertex
+wins).  So the fiber/matrix interface becomes a polygon whose vertices all
+lie on the circle.  Inscribed, inverted and low-angle triangles left by
+snapping are removed by deterministic edge flips: each sweep scores every
+triangle once (-1 if inscribed or inverted, else its minimum angle) and
+tries flips for those scoring below the floor one by one; the last sweep's
+areas and angles feed the quality gate.  The result is rejected unless
+every triangle keeps a positive area and a minimum angle above the floor.
 """
 
 from __future__ import annotations
@@ -255,10 +257,8 @@ def generate_mesh(geometry: CellGeometry, n_div: int) -> TriMesh:
     r = geometry.radius
 
     on_circle = _snap_to_circle(vertices, triangles, center, r, h, geometry.side)
-    triangles = _repair_triangles(vertices, triangles, on_circle, center, r, h)
-
-    areas = signed_areas(vertices, triangles)
-    angles = triangle_angles(vertices, triangles).min(axis=1)
+    triangles, areas, angles = _repair_triangles(vertices, triangles, on_circle,
+                                                 center, r, h)
     if areas.min() <= 0.0 or angles.min() < MIN_ANGLE_FLOOR:
         worst = int(np.argmin(np.where(areas <= 0.0, -1.0, angles)))
         x, y = vertices[triangles[worst]].mean(axis=0)
@@ -278,11 +278,15 @@ def generate_mesh(geometry: CellGeometry, n_div: int) -> TriMesh:
 def _snap_to_circle(vertices, triangles, center, r, h, side) -> np.ndarray:
     """Two-pass radial projection of near-circle vertices onto the circle.
 
-    Pass 1 projects every vertex within h/4 of the circle.  Pass 2 walks the
-    remaining crossed edges and projects the endpoint nearest the crossing,
-    so every edge the circle crosses ends up with a node on the circle.
-    Outer-boundary vertices never move.  Mutates ``vertices``; returns the
-    on-circle mask.
+    Pass 1 projects every vertex within h/4 of the circle.  Pass 2 reads
+    only pass-1 positions: an edge crosses where its ends' signed distances
+    have opposite signs and neither end is on the circle.  Its nearer end to
+    the crossing (the root t in (0, 1) of |a + t(b - a) - c| = r; a when
+    t < 0.5) is projected, or the other end if that one is on the cell
+    boundary, or neither if both are.  The first crossing edge through a
+    vertex in edge order wins, so every crossed edge ends up with a node on
+    the circle.  Boundary vertices never move.  Mutates ``vertices``;
+    returns the on-circle mask.
     """
     tol = 1e-12 * side
     locked = ((np.abs(vertices) <= tol) | (np.abs(vertices - side) <= tol)).any(axis=1)
@@ -291,43 +295,25 @@ def _snap_to_circle(vertices, triangles, center, r, h, side) -> np.ndarray:
         d = vertices[idx] - center
         vertices[idx] = center + d * (r / np.hypot(d[..., 0], d[..., 1]))[..., None]
 
-    on_circle = (np.abs(_signed_distance(vertices, center, r))
-                 <= _SNAP_FRACTION * h) & ~locked
+    sd = _signed_distance(vertices, center, r)
+    on_circle = (np.abs(sd) <= _SNAP_FRACTION * h) & ~locked
     project(np.flatnonzero(on_circle))
 
-    # candidate edges: circle can only cross edges whose endpoints are within
-    # one edge length of it
-    edges = unique_edges(triangles)
-    sd = _signed_distance(vertices, center, r)
-    near = np.abs(sd) <= 1.5 * h
-    cand = edges[near[edges[:, 0]] & near[edges[:, 1]]]
-    for a, b in cand:
-        if on_circle[a] or on_circle[b]:
-            continue
-        pa, pb = vertices[a], vertices[b]
-        sa = np.hypot(*(pa - center)) - r
-        sb = np.hypot(*(pb - center)) - r
-        if sa * sb >= 0.0:
-            continue
-        d = pb - pa
-        f = pa - center
-        qa = d @ d
-        qb = 2.0 * (f @ d)
-        qc = f @ f - r * r
-        disc = qb * qb - 4.0 * qa * qc
-        if disc <= 0.0:
-            continue
-        sq = np.sqrt(disc)
-        for t in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
-            if 0.0 < t < 1.0:
-                v = a if t < 0.5 else b
-                if locked[v]:
-                    v = b if v == a else a
-                    if locked[v]:
-                        break
-                project(v)
-                on_circle[v] = True
-                break
+    a, b = unique_edges(triangles).T
+    cross = (sd[a] * sd[b] < 0.0) & ~on_circle[a] & ~on_circle[b]
+    a, b = a[cross], b[cross]
+    f, d = vertices[a] - center, vertices[b] - vertices[a]
+    qa, qb = (d * d).sum(axis=1), 2.0 * (f * d).sum(axis=1)
+    qc = (f * f).sum(axis=1) - r * r
+    t = (-qb - np.sign(qc) * np.sqrt(qb * qb - 4.0 * qa * qc)) / (2 * qa)
+    v = np.where(t < 0.5, a, b)
+    v = np.where(locked[v], a + b - v, v)
+    moved = []
+    for i, j, k in zip(a.tolist(), b.tolist(), v.tolist()):
+        if not (locked[k] or on_circle[i] or on_circle[j]):
+            on_circle[k] = True
+            moved.append(k)
+    project(np.array(moved, dtype=np.int64))
     return on_circle
 
 
@@ -341,21 +327,22 @@ def _repair_triangles(vertices, triangles, on_circle, center, r, h):
     (both endpoints on the circle, neighbors strictly on opposite sides) are
     never flipped, so interface conformity is preserved.
 
-    Each sweep takes the candidates in ascending index order and looks up
-    edge partners in the adjacency of the triangles as they stood at the
-    start of the sweep; a triangle flipped in the sweep is not touched again.
+    Each sweep scores every triangle (-1 if inscribed or inverted, else
+    its minimum angle) and visits those below ``MIN_ANGLE_FLOOR`` in index
+    order, with edge partners from the adjacency at the sweep's start; a
+    flip must raise the pair's lower score, and a flipped triangle is not
+    touched again in the sweep.  Returns the triangles with the signed
+    areas and minimum angles of the last sweep, which the gate reads.
     """
     tris = np.array(triangles, dtype=np.int64)
     nv = len(vertices)
     sdn = _signed_distance(vertices, center, r)
-
-    def bad(t):
-        return on_circle[t].all(axis=1) | (signed_areas(vertices, t) <= 0.0)
-
-    for _ in range(_REPAIR_SWEEPS):
-        candidates = np.flatnonzero(
-            bad(tris) | (triangle_angles(vertices, tris).min(axis=1) < MIN_ANGLE_FLOOR))
-        if not candidates.size:
+    for sweep in range(_REPAIR_SWEEPS + 1):
+        areas = signed_areas(vertices, tris)
+        angles = triangle_angles(vertices, tris).min(axis=1)
+        score = np.where(on_circle[tris].all(axis=1) | (areas <= 0.0), -1.0, angles)
+        candidates = np.flatnonzero(score < MIN_ANGLE_FLOOR)
+        if sweep == _REPAIR_SWEEPS or not candidates.size:
             break
         keys = _edge_keys(tris, nv)
         order = np.argsort(keys, kind="stable")
@@ -389,15 +376,14 @@ def _repair_triangles(vertices, triangles, on_circle, center, r, h):
                 if ((signed_areas(vertices, new) <= 1e-16).any()
                         or on_circle[new].all(axis=1).any()):
                     continue
-                old = tris[[ti, tj]]
-                cur = -1.0 if bad(old).any() else triangle_angles(vertices, old).min()
+                cur = min(score[ti], score[tj])
                 if triangle_angles(vertices, new).min() > cur + 1e-9:
                     tris[[ti, tj]] = new
                     touched.update((ti, tj))
                     break
         if not touched:
             break
-    return tris
+    return tris, areas, angles
 
 
 def write_mesh(mesh: TriMesh, path) -> None:
@@ -411,10 +397,28 @@ def write_mesh(mesh: TriMesh, path) -> None:
 
 def read_mesh(path, geometry: CellGeometry) -> TriMesh:
     """Read the text format written by :func:`write_mesh` as a mesh of the
-    cell ``geometry``; nothing is inferred from the file."""
+    cell ``geometry``; nothing is inferred from the file.
+
+    Raises ValueError, naming the path, unless the header ``nv nt`` is
+    followed by exactly nv vertex rows of 2 columns and nt triangle rows of
+    4, every vertex index lies in [0, nv) and every tag is FIBER or MATRIX.
+    """
     with open(path) as fh:
-        nv, nt = map(int, fh.readline().split())
-        vertices = np.loadtxt(fh, max_rows=nv, ndmin=2)
-        table = np.loadtxt(fh, dtype=np.int64, max_rows=nt, ndmin=2)
+        header, rows = fh.readline(), fh.read().splitlines()
+    try:
+        nv, nt = map(int, header.split())
+        if len(rows) != nv + nt:
+            raise ValueError(f"the header declares {nv} vertices and {nt} "
+                             f"triangles, but {len(rows)} rows follow it")
+        vertices = np.loadtxt(rows[:nv], ndmin=2)
+        table = np.loadtxt(rows[nv:], dtype=np.int64, ndmin=2)
+        if vertices.shape[1] != 2 or table.shape[1] != 4:
+            raise ValueError("vertex rows need 2 columns and triangle rows 4")
+        if table[:, :3].min() < 0 or table[:, :3].max() >= nv:
+            raise ValueError(f"a vertex index lies outside [0, {nv})")
+        if not np.isin(table[:, 3], (FIBER, MATRIX)).all():
+            raise ValueError(f"a tag is neither {FIBER} (fiber) nor {MATRIX} (matrix)")
+    except ValueError as err:
+        raise ValueError(f"mesh file {path}: {err}") from None
     return TriMesh(vertices=vertices, triangles=table[:, :3].copy(),
                    tags=table[:, 3].copy(), geometry=geometry)

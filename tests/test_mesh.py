@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -186,6 +187,48 @@ def test_mesh_text_bytes_pinned(tmp_path, mesh16):
     fc.write_mesh(mesh16, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "df548a04b63c36af131d8d48b3cebdd9397ec6d29c06df2073b51aab4cfee7a2")
+
+
+def _written_mesh8(tmp_path, geometry):
+    """Path and text rows of a written n_div=8 mesh (145 vertices and 256
+    triangles): one header, then the vertex rows, then the triangle rows."""
+    path = tmp_path / "mesh.txt"
+    fc.write_mesh(fc.generate_mesh(geometry, 8), path)
+    return path, path.read_text().splitlines()
+
+
+def _refused(path, geometry, rows, why):
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + why):
+        fc.read_mesh(path, geometry)
+
+
+def test_read_mesh_refuses_missing_rows(tmp_path, geometry):
+    # a file cut short used to read as 251 of the 256 triangles it declares
+    path, rows = _written_mesh8(tmp_path, geometry)
+    _refused(path, geometry, rows[:-5], "256 triangles")
+
+
+def test_read_mesh_refuses_wrong_column_count(tmp_path, geometry):
+    path, rows = _written_mesh8(tmp_path, geometry)
+    rows[1] += " 0.5"
+    _refused(path, geometry, rows, "columns")
+
+
+def test_read_mesh_refuses_index_out_of_range(tmp_path, geometry):
+    # used to fail only inside CellOperators, with a bare IndexError
+    path, rows = _written_mesh8(tmp_path, geometry)
+    rows[-1] = "0 1 1000000 1"
+    _refused(path, geometry, rows, r"vertex index")
+
+
+def test_read_mesh_refuses_unknown_tag(tmp_path, geometry):
+    # tag 7 was counted in neither fiber_area() nor matrix_area(), yet
+    # assembled as matrix
+    path, rows = _written_mesh8(tmp_path, geometry)
+    i, j, k, _ = rows[-1].split()
+    rows[-1] = f"{i} {j} {k} 7"
+    _refused(path, geometry, rows, "tag")
 
 
 def test_mesh_stores_four_fields(mesh16):

@@ -399,14 +399,17 @@ def read_mesh(path, geometry: CellGeometry) -> TriMesh:
     """Read the text format written by :func:`write_mesh` as a mesh of the
     cell ``geometry``; nothing is inferred from the file.
 
-    Raises ValueError, naming the path, unless the header ``nv nt`` is
-    followed by exactly nv vertex rows of 2 columns and nt triangle rows of
-    4, every vertex index lies in [0, nv) and every tag is FIBER or MATRIX.
+    Raises ValueError, naming the path, unless the header ``nv nt`` (both
+    positive) is followed by exactly nv vertex rows of 2 columns and nt
+    triangle rows of 4, every vertex index lies in [0, nv) and every tag is
+    FIBER or MATRIX.
     """
     with open(path) as fh:
         header, rows = fh.readline(), fh.read().splitlines()
     try:
         nv, nt = map(int, header.split())
+        if nv < 1 or nt < 1:
+            raise ValueError(f"the header declares {nv} vertices and {nt} triangles")
         if len(rows) != nv + nt:
             raise ValueError(f"the header declares {nv} vertices and {nt} "
                              f"triangles, but {len(rows)} rows follow it")

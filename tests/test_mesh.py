@@ -209,6 +209,11 @@ def test_read_mesh_refuses_missing_rows(tmp_path, geometry):
     _refused(path, geometry, rows[:-5], "256 triangles")
 
 
+def test_read_mesh_refuses_empty_mesh(tmp_path, geometry):
+    # used to warn that the input held no data, then fail on the shape
+    _refused(tmp_path / "mesh.txt", geometry, ["0 0"], "0 vertices and 0 triangles")
+
+
 def test_read_mesh_refuses_wrong_column_count(tmp_path, geometry):
     path, rows = _written_mesh8(tmp_path, geometry)
     rows[1] += " 0.5"
@@ -219,7 +224,7 @@ def test_read_mesh_refuses_index_out_of_range(tmp_path, geometry):
     # used to fail only inside CellOperators, with a bare IndexError
     path, rows = _written_mesh8(tmp_path, geometry)
     rows[-1] = "0 1 1000000 1"
-    _refused(path, geometry, rows, r"vertex index")
+    _refused(path, geometry, rows, "vertex index")
 
 
 def test_read_mesh_refuses_unknown_tag(tmp_path, geometry):

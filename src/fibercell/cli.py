@@ -139,6 +139,17 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
             failures.append(
                 f"shift-invert/dense mismatch {pair.value!r} vs {ref!r}")
             break
+
+    # the same pencil under a bound: ARPACK on the count's factor at sigma
+    sigma = 0.5 * (dense_vals[3] + dense_vals[4])
+    bounded = smallest_eigenpairs(K, M, 6, tol=config.eig_tol, below=sigma)
+    if len(bounded) != 4:
+        failures.append(f"{len(bounded)} pairs below sigma={sigma!r}, dense has 4")
+    for pair, ref in zip(bounded, dense_vals[:4]):
+        if abs(pair.value - ref) > 1e-9 * max(1.0, abs(ref)):
+            failures.append(
+                f"shift-invert at sigma/dense mismatch {pair.value!r} vs {ref!r}")
+            break
     return failures
 
 

@@ -1,19 +1,24 @@
 """Smallest eigenpairs of symmetric positive definite pencils (K, M).
 
 The production path is ARPACK (``scipy.sparse.linalg.eigsh``) in
-shift-invert mode at sigma = 0: implicitly restarted Lanczos on K^-1 M in
-the M-inner product, whose largest Ritz values are the reciprocals of the
-smallest pencil eigenvalues.  An exact count certifies that nothing was
-missed: by Sylvester's law of inertia, the number of negative pivots of an
-LDL^t factorization of K - sigma M equals the number of pencil eigenvalues
-below sigma (``inertia_count``), with sigma just below the k-th value.
-The first round starts from the all-ones vector; only when it found fewer
-values below sigma than the count do seeded rounds on the projected solve
-recover the degenerate copies a single Krylov space misses.  One
-Rayleigh-Ritz step on everything accepted gives the pairs, and every
-returned pair passes an explicit residual check.  A dense LAPACK oracle
-(``scipy.linalg.eigh``) covers every pencil small enough to afford it and
-cross-checks the iterative path in the validation suite.
+shift-invert mode: implicitly restarted Lanczos on (K - s M)^-1 M in the
+M-inner product.  An exact count certifies that nothing was missed: by
+Sylvester's law of inertia, the number of negative pivots of an LDL^t
+factorization of K - sigma M equals the number of pencil eigenvalues
+below sigma (``inertia_count``).  Given a bound sigma, that one
+factorization both counts and drives ARPACK at s = sigma, whose negative
+values 1/(lambda - sigma) are exactly the eigenvalues below sigma (the
+spectral transformation of Ericsson and Ruhe, used with the inertia as in
+the shifted block Lanczos of Grimes, Lewis and Simon).  Without a bound,
+or when a pencil at sigma misses the residual check, ARPACK runs at s = 0
+on a factor of K, with sigma just below the k-th value.  The first round
+starts from the all-ones vector; only when it found fewer values below
+sigma than the count do seeded rounds on the projected solve recover the
+degenerate copies a single Krylov space misses.  One Rayleigh-Ritz step on
+everything accepted gives the pairs, and every returned pair passes an
+explicit residual check.  A dense LAPACK oracle (``scipy.linalg.eigh``)
+covers every pencil small enough to afford it and cross-checks the
+iterative path in the validation suite.
 """
 
 from __future__ import annotations
@@ -99,9 +104,14 @@ def inertia_count(K, M, sigma: float) -> int:
     ``_symmetric_lu`` finds K - sigma M singular or leaves the diagonal,
     LinAlgError is raised instead of a guess.
     """
-    _, pivots = _symmetric_lu(K - sigma * M,
-                              name=f"K - sigma M at sigma={sigma:.17g}")
-    return int(np.count_nonzero(pivots < 0.0))
+    return _shifted_lu(K, M, sigma)[1]
+
+
+def _shifted_lu(K, M, sigma: float):
+    """The factor of K - sigma M and the inertia count it certifies."""
+    lu, pivots = _symmetric_lu(K - sigma * M,
+                               name=f"K - sigma M at sigma={sigma:.17g}")
+    return lu, int(np.count_nonzero(pivots < 0.0))
 
 
 def dense_eigen_oracle(K, M, count: int = None):
@@ -135,14 +145,25 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     """k smallest eigenpairs of the SPD pencil (K, M), ascending; with
     ``below``, only those whose eigenvalue lies below it, possibly none.
 
-    ARPACK in shift-invert mode at sigma = 0, with K^-1 applied through the
-    SPD factorization.  Round 0 asks for k pairs from the all-ones start
-    vector.  The inertia count c says how many pencil eigenvalues lie below
-    the threshold s: s is ``below``, counted before any solve (k becomes
-    min(k, c), and c = 0 returns [] without factoring K); without it, or
-    when c exceeds k, s is the k-th value of round 0 times (1 - 1e-8),
-    strictly below it, so copies of the k-th value need not be found.  A
-    Krylov space carries one vector per eigenspace, so while fewer than c
+    ARPACK in shift-invert mode.  Without ``below``, the shift is 0 with
+    K^-1 applied through the SPD factorization, and round 0 asks for the k
+    largest nu = 1/lambda from the all-ones start vector.  The inertia
+    count c says how many pencil eigenvalues lie below the threshold s.
+    Without ``below``, s is the k-th value of round 0 times (1 - 1e-8),
+    strictly below it, so copies of the k-th value need not be found.
+
+    With ``below``, s is ``below`` and its factorization of K - s M, made
+    before any solve, gives c: c = 0 returns [] without an ARPACK round.
+    For 0 < c <= k the same factor drives ARPACK at the shift s, where
+    round 0 asks for the c smallest nu = 1/(lambda - s): the c negative ones
+    are exactly the c eigenvalues below s.  When that path raises
+    EigenConvergenceError (a bound right next to the spectrum can cost the
+    far end of the window its last digits), its factor is released and
+    the pencil is solved again at shift 0 with the same c.  For c > k the
+    shift-s window would hold the k values nearest s, not the k smallest,
+    so the shift-0 path runs and recounts below its own k-th value.
+
+    A Krylov space carries one vector per eigenspace, so while fewer than c
     accepted values lie below s, up to six more rounds of max(2, k // 2)
     pairs start from a seeded random vector and run on the solve projected
     M-orthogonally to the accepted vectors V.  One Rayleigh-Ritz step on
@@ -159,18 +180,36 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the pencil size {n}")
     M = M.tocsr() if sp.issparse(M) else sp.csr_matrix(M)
-    sigma, count = below, None
-    if below is not None:
-        count = inertia_count(K, M, below)
-        if count == 0:
-            logger.debug("pencil n=%d sigma=%.10g count=0 found=0 fallback rounds=0",
-                         n, below)
-            return []
-        k = min(k, count)
+    if below is None:
+        return _certified_pairs(K, M, k, tol, None, None, None, "K")
+    lu, count = _shifted_lu(K, M, below)
+    if count == 0:
+        logger.debug("pencil n=%d shift=%.10g sigma=%.10g count=0 found=0 "
+                     "fallback rounds=0 factor=sigma", n, below, below)
+        return []
+    served = "K"
+    if count <= k:
+        try:
+            return _certified_pairs(K, M, count, tol, below, count, lu, "sigma")
+        except EigenConvergenceError as exc:
+            served = f"K after sigma missed: {exc}"
+    lu = None  # released before K is factored
+    return _certified_pairs(K, M, min(k, count), tol, below, count, None, served)
 
+
+def _certified_pairs(K, M, k: int, tol: float, sigma, count, shifted, served: str):
+    """The rounds, Rayleigh-Ritz step and residual gate of
+    ``smallest_eigenpairs``: ``shifted`` is the factor of K - sigma M that
+    drives ARPACK at sigma, or None for shift 0 on a factor of K made here;
+    ``served`` names that choice in the debug line."""
+    n = K.shape[0]
     rng = np.random.default_rng(20240817)
-    factor = factorize_spd(K)
-    values, V = _arpack_round(K, M, factor.solve, k, np.ones(n), tol, rng, 0)
+    if shifted is None:
+        factor, shift, which = factorize_spd(K), 0.0, "LM"
+    else:
+        factor, shift, which = shifted, sigma, "SA"
+    values, V = _arpack_round(K, M, factor.solve, k, np.ones(n), tol, rng, 0,
+                              shift, which)
     if count is None or count > k:
         # certify everything strictly below the k-th value; the count
         # factors K - sigma M, so the factor of K goes first
@@ -190,8 +229,8 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
         rounds += 1
         if factor is None:
             factor = factorize_spd(K)
-        # P K^-1 P^t with P = I - V V^t M, the M-orthogonal projector onto
-        # the complement of the accepted vectors
+        # P (K - shift M)^-1 P^t with P = I - V V^t M, the M-orthogonal
+        # projector onto the complement of the accepted vectors
         MV = M @ V
 
         def solve(b, V=V, MV=MV):
@@ -199,13 +238,14 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
             return x - V @ (MV.T @ x)
 
         vals, vecs = _arpack_round(K, M, solve, width, rng.standard_normal(n),
-                                   tol, rng, rounds)
+                                   tol, rng, rounds, shift, which)
         new = vals < sigma
         values = np.concatenate((values, vals[new]))
         V = np.column_stack((V, vecs[:, new]))
         found += int(np.count_nonzero(new))
-    logger.debug("pencil n=%d sigma=%.10g count=%d found=%d fallback rounds=%d",
-                 n, sigma, count, found, rounds)
+    logger.debug("pencil n=%d shift=%.10g sigma=%.10g count=%d found=%d "
+                 "fallback rounds=%d factor=%s", n, shift, sigma, count, found,
+                 rounds, served)
 
     values, C = scipy.linalg.eigh(V.T @ (K @ V), V.T @ (M @ V),
                                   subset_by_index=[0, k - 1])
@@ -222,17 +262,19 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     return out
 
 
-def _arpack_round(K, M, solve, width: int, start, tol: float, rng, round_: int):
+def _arpack_round(K, M, solve, width: int, start, tol: float, rng, round_: int,
+                  shift: float, which: str):
     """``width`` Ritz pairs of the pencil from one eigsh call in
-    shift-invert mode at sigma = 0, with ``solve`` in place of K^-1."""
+    shift-invert mode at ``shift``, with ``solve`` in place of
+    (K - shift M)^-1 and ``which`` choosing among nu = 1/(lambda - shift)."""
     n = K.shape[0]
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
-    # ARPACK stops on a Ritz estimate for K^-1 M, not on the pencil
-    # residual, so it runs at a tenth of tol; rng seeds the vectors it
-    # draws when its Krylov space becomes invariant
+    # ARPACK stops on a Ritz estimate for the shifted inverse, not on the
+    # pencil residual, so it runs at a tenth of tol; rng seeds the vectors
+    # it draws when its Krylov space becomes invariant
     try:
-        vals, vecs = eigsh(K, width, M=M, sigma=0.0, OPinv=op_inv, v0=start,
-                           tol=0.1 * tol, rng=rng)
+        vals, vecs = eigsh(K, width, M=M, sigma=shift, which=which,
+                           OPinv=op_inv, v0=start, tol=0.1 * tol, rng=rng)
     except ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"only {len(exc.eigenvalues)} of {width} eigenpairs "

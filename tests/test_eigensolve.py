@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -253,3 +254,28 @@ def test_double_kth_value_costs_one_factorization(mesh64, monkeypatch):
     pairs = fc.smallest_eigenpairs(K, M, 8)
     assert len(pairs) == 8
     assert calls == {"factorize_spd": 1, "eigsh": 1}
+
+
+def test_bound_next_to_the_spectrum_retries_on_k(mesh16, monkeypatch, caplog):
+    # mode 2 at eps=0.05 under mode 1's 12th value (times 1 + 1e-8): that
+    # bound sits 6.7e-5 (relative) below mode 2's 12th value, and the solve
+    # with K - below M leaves a residual of 7.35e-9 at its smallest value;
+    # the pencil is solved again on a factor of K with the same count
+    calls = []
+    factorize_spd = eigensolve.factorize_spd
+
+    def spy(K):
+        calls.append("factorize_spd")
+        return factorize_spd(K)
+
+    K1, M1 = fc.assemble_mode_pencil(mesh16, 0.05, math.pi ** 2)
+    below = fc.smallest_eigenpairs(K1, M1, 12)[-1].value * (1 + 1e-8)
+    K, M = fc.assemble_mode_pencil(mesh16, 0.05, (2 * math.pi) ** 2)
+    monkeypatch.setattr(eigensolve, "factorize_spd", spy)
+    with caplog.at_level(logging.DEBUG, logger="fibercell.eigensolve"):
+        pairs = fc.smallest_eigenpairs(K, M, 12, below=below)
+    values, _ = fc.dense_eigen_oracle(K, M, 11)
+    assert len(pairs) == 11 and all(pair.residual <= 1e-9 for pair in pairs)
+    assert [pair.value for pair in pairs] == pytest.approx(values, rel=1e-10)
+    assert calls == ["factorize_spd"]
+    assert "factor=K after sigma missed: residual" in caplog.text

@@ -69,15 +69,20 @@ def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
 
 
 def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
-    # each later mode asks ARPACK for no more pairs than its inertia count
-    # at the bound, and the mode that ends the merge (count 0) factors
-    # nothing and runs no ARPACK round
+    # each later mode factors K - sigma M once, for its inertia count at the
+    # bound, and that factor drives an ARPACK round of exactly the count;
+    # the mode that ends the merge (count 0) factors once and runs no round
     work = []
-    factorize_spd, eigsh = eigensolve.factorize_spd, eigensolve.eigsh
+    factorize_spd, symmetric_lu = eigensolve.factorize_spd, eigensolve._symmetric_lu
+    eigsh = eigensolve.eigsh
 
     def factor_spy(K):
         work.append("factor")
         return factorize_spd(K)
+
+    def lu_spy(A, *args, **kwargs):
+        work.append("lu")
+        return symmetric_lu(A, *args, **kwargs)
 
     def eigsh_spy(A, k, **kwargs):
         work.append(k)
@@ -92,17 +97,19 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
         return spec
 
     monkeypatch.setattr(eigensolve, "factorize_spd", factor_spy)
+    monkeypatch.setattr(eigensolve, "_symmetric_lu", lu_spy)
     monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
     monkeypatch.setattr(spectrum, "mode_spectrum", recording)
     merged = fc.merged_spectrum(mesh16, 0.2, 8)
-    assert modes[0][:2] == (1, None) and modes[0][2][:2] == ["factor", 8]
+    assert modes[0][:2] == (1, None) and modes[0][2][:3] == ["factor", "lu", 8]
     assert [j for j, *_ in modes] == list(range(1, len(modes) + 1))
     for j, below, calls, found in modes[1:-1]:
         K, M = fc.assemble_mode_pencil(mesh16, 0.2, (j * math.pi) ** 2)
         count = fc.inertia_count(K, M, below)
-        assert found == count and calls[:2] == ["factor", count]
+        assert found == count and calls[:2] == ["lu", count]
+        assert calls.count("lu") == 1 and "factor" not in calls
     j_end, _, calls, found = modes[-1]
-    assert (found, calls) == (0, [])
+    assert (found, calls) == (0, ["lu"])
     assert j_end <= 8 and all(e.j < j_end for e in merged)
 
 

@@ -1,5 +1,6 @@
 import logging
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -279,3 +280,22 @@ def test_bound_next_to_the_spectrum_retries_on_k(mesh16, monkeypatch, caplog):
     assert [pair.value for pair in pairs] == pytest.approx(values, rel=1e-10)
     assert calls == ["factorize_spd"]
     assert "factor=K after sigma missed: residual" in caplog.text
+
+
+def test_heap_is_trimmed_between_a_pencils_factors(monkeypatch):
+    # the factor of K is dropped before the count factors K - sigma M; a
+    # bound whose own factor serves the solve makes no second factor
+    if platform.libc_ver()[0] == "glibc":
+        assert eigensolve._MALLOC_TRIM is not None
+    calls = []
+    real_splu = eigensolve.splu
+    monkeypatch.setattr(eigensolve, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad)))
+    monkeypatch.setattr(eigensolve, "splu",
+                        lambda *a, **kw: calls.append("splu") or real_splu(*a, **kw))
+    K = sp.diags(np.arange(1.0, 41.0)).tocsr()
+    eye = sp.identity(40, format="csr")
+    assert [p.value for p in fc.smallest_eigenpairs(K, eye, 3)] == pytest.approx([1, 2, 3])
+    assert calls == ["splu", ("trim", 0), "splu"]
+    calls.clear()
+    assert len(fc.smallest_eigenpairs(K, eye, 3, below=2.5)) == 2
+    assert calls == ["splu"]

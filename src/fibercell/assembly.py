@@ -21,8 +21,8 @@ from .mesh import FIBER, TriMesh
 def _element_geometry(mesh: TriMesh):
     p = mesh.vertices[mesh.triangles]
     areas = mesh.areas()
-    if np.any(areas <= 0.0):
-        raise ValueError("mesh contains a degenerate or inverted triangle")
+    if not np.all(np.isfinite(areas) & (areas > 0.0)):
+        raise ValueError("mesh contains a degenerate, inverted or non-finite triangle")
     # b_i = y_j - y_k, c_i = x_k - x_j, cyclic
     x = p[..., 0]
     y = p[..., 1]

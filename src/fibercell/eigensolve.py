@@ -10,11 +10,12 @@ factorization both counts and drives ARPACK at s = sigma, whose negative
 values 1/(lambda - sigma) are exactly the eigenvalues below sigma (the
 spectral transformation of Ericsson and Ruhe, used with the inertia as in
 the shifted block Lanczos of Grimes, Lewis and Simon).  Without a bound,
-or when a pencil at sigma misses the residual check, ARPACK runs at s = 0
-on a factor of K, with sigma just below the k-th value.  The first round
-starts from the all-ones vector; only when it found fewer values below
-sigma than the count do seeded rounds on the projected solve recover the
-degenerate copies a single Krylov space misses.  One Rayleigh-Ritz step on
+or where the bound's factor cannot serve (more than k values below it, or
+a missed residual check), ARPACK runs at s = 0 on a factor of K, with
+sigma just below the k-th value.  The first round starts from the
+all-ones vector; only when it found fewer values below sigma than the
+count do seeded rounds on the projected solve recover the degenerate
+copies a single Krylov space misses.  One Rayleigh-Ritz step on
 everything accepted gives the pairs, and every returned pair passes an
 explicit residual check.  A dense LAPACK oracle (``scipy.linalg.eigh``)
 covers every pencil small enough to afford it and cross-checks the
@@ -99,7 +100,10 @@ def _symmetric_lu(A: sp.spmatrix, error=np.linalg.LinAlgError, name="matrix"):
         raise error(f"{name} is singular: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise error(f"SuperLU left the diagonal factoring {name}")
-    return lu, lu.U.diagonal()
+    pivots = lu.U.diagonal()
+    if not np.isfinite(pivots).all():
+        raise error(f"non-finite pivot factoring {name}")
+    return lu, pivots
 
 
 class SPDFactor:
@@ -111,7 +115,7 @@ class SPDFactor:
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
         self._lu, pivots = _symmetric_lu(K, NotSPDError)
-        if np.any(pivots <= 0.0) or np.any(~np.isfinite(pivots)):
+        if np.any(pivots <= 0.0):
             raise NotSPDError("non-positive pivot: matrix is not SPD "
                               "(check gamma > 0 or the assembly)")
         self.pivots = pivots
@@ -178,20 +182,20 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     ARPACK in shift-invert mode.  Without ``below``, the shift is 0 with
     K^-1 applied through the SPD factorization, and round 0 asks for the k
     largest nu = 1/lambda from the all-ones start vector.  The inertia
-    count c says how many pencil eigenvalues lie below the threshold s.
-    Without ``below``, s is the k-th value of round 0 times (1 - 1e-8),
-    strictly below it, so copies of the k-th value need not be found.
+    count c then says how many pencil eigenvalues lie below the threshold
+    s, the k-th value of round 0 times (1 - 1e-8): strictly below it, so
+    copies of the k-th value need not be found.
 
-    With ``below``, s is ``below`` and its factorization of K - s M, made
-    before any solve, gives c: c = 0 returns [] without an ARPACK round.
-    For 0 < c <= k the same factor drives ARPACK at the shift s, where
-    round 0 asks for the c smallest nu = 1/(lambda - s): the c negative ones
-    are exactly the c eigenvalues below s.  When that path raises
-    EigenConvergenceError (a bound right next to the spectrum can cost the
-    far end of the window its last digits), its factor is released and
-    the pencil is solved again at shift 0 with the same c.  For c > k the
-    shift-s window would hold the k values nearest s, not the k smallest,
-    so the shift-0 path runs and recounts below its own k-th value.
+    With ``below``, its factorization of K - below M, made before any
+    solve, counts the c eigenvalues below it, and c = 0 returns [] without
+    an ARPACK round.  For 0 < c <= k the same factor drives ARPACK at the
+    shift s = ``below``, where round 0 asks for the c smallest
+    nu = 1/(lambda - s): the c negative ones are exactly the c eigenvalues
+    below s.  Otherwise (c > k, where the window at s would hold the k
+    values nearest s, not the k smallest; or that solve raised
+    EigenConvergenceError, as a bound right next to the spectrum can cost
+    the far end of the window its last digits) the factor is released and
+    the pencil is solved as without ``below`` for min(k, c) pairs.
 
     A Krylov space carries one vector per eigenspace, so while fewer than c
     accepted values lie below s, up to six more rounds of max(2, k // 2)
@@ -199,7 +203,8 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     M-orthogonally to the accepted vectors V.  One Rayleigh-Ritz step on
     span(V), a dense eigh of (V^t K V, V^t M V), then gives the k values
     and M-orthonormal vectors, with a deterministic basis inside each
-    degenerate eigenspace.  At most one sparse factorization is alive.
+    degenerate eigenspace.  At most one sparse factorization is alive, and
+    the heap is trimmed before each one after the first.
     Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol``;
     otherwise, or when the sixth projected round still leaves fewer than c
     values found below s, EigenConvergenceError is raised.
@@ -210,38 +215,34 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the pencil size {n}")
     M = M.tocsr() if sp.issparse(M) else sp.csr_matrix(M)
-    if below is None:
-        return _certified_pairs(K, M, k, tol, None, None, None, "K")
-    lu, count = _shifted_lu(K, M, below)
-    if count == 0:
-        logger.debug("pencil n=%d shift=%.10g sigma=%.10g count=0 found=0 "
-                     "fallback rounds=0 factor=sigma", n, below, below)
-        return []
-    served = "K"
-    if count <= k:
-        try:
-            return _certified_pairs(K, M, count, tol, below, count, lu, "sigma")
-        except EigenConvergenceError as exc:
-            served = f"K after sigma missed: {exc}"
-    lu = None  # released before K is factored
-    _trim_heap()
-    return _certified_pairs(K, M, min(k, count), tol, below, count, None, served)
+    if below is not None:
+        lu, count = _shifted_lu(K, M, below)
+        if count == 0:
+            logger.debug("pencil n=%d shift=%.10g sigma=%.10g count=0 found=0 "
+                         "fallback rounds=0", n, below, below)
+            return []
+        if count <= k:
+            try:
+                return _certified_pairs(K, M, count, tol, (below, lu))
+            except EigenConvergenceError as exc:
+                logger.debug("pencil n=%d missed at shift=%.10g, solved "
+                             "without the bound: %s", n, below, exc)
+        k, lu = min(k, count), None  # released before K is factored
+        _trim_heap()
+    return _certified_pairs(K, M, k, tol)
 
 
-def _certified_pairs(K, M, k: int, tol: float, sigma, count, shifted, served: str):
+def _certified_pairs(K, M, k: int, tol: float, shifted=None):
     """The rounds, Rayleigh-Ritz step and residual gate of
-    ``smallest_eigenpairs``: ``shifted`` is the factor of K - sigma M that
-    drives ARPACK at sigma, or None for shift 0 on a factor of K made here;
-    ``served`` names that choice in the debug line."""
+    ``smallest_eigenpairs``: ``shifted`` is (sigma, factor of K - sigma M)
+    for a pencil with exactly k eigenvalues below sigma, or None for
+    shift 0 on a factor of K made here and a count below the k-th value."""
     n = K.shape[0]
     rng = np.random.default_rng(20240817)
+    shift, factor = shifted or (0.0, factorize_spd(K))
+    values, V = _arpack_round(K, M, factor.solve, k, np.ones(n), tol, rng, 0, shift)
+    sigma, count = shift, k
     if shifted is None:
-        factor, shift, which = factorize_spd(K), 0.0, "LM"
-    else:
-        factor, shift, which = shifted, sigma, "SA"
-    values, V = _arpack_round(K, M, factor.solve, k, np.ones(n), tol, rng, 0,
-                              shift, which)
-    if count is None or count > k:
         # certify everything strictly below the k-th value; the count
         # factors K - sigma M, so the factor of K goes first
         sigma = values.max() * (1 - 1e-8)
@@ -260,6 +261,7 @@ def _certified_pairs(K, M, k: int, tol: float, sigma, count, shifted, served: st
                 f"found {found} after {_PROBE_ROUNDS} rounds")
         rounds += 1
         if factor is None:
+            _trim_heap()
             factor = factorize_spd(K)
         # P (K - shift M)^-1 P^t with P = I - V V^t M, the M-orthogonal
         # projector onto the complement of the accepted vectors
@@ -270,14 +272,13 @@ def _certified_pairs(K, M, k: int, tol: float, sigma, count, shifted, served: st
             return x - V @ (MV.T @ x)
 
         vals, vecs = _arpack_round(K, M, solve, width, rng.standard_normal(n),
-                                   tol, rng, rounds, shift, which)
+                                   tol, rng, rounds, shift)
         new = vals < sigma
         values = np.concatenate((values, vals[new]))
         V = np.column_stack((V, vecs[:, new]))
         found += int(np.count_nonzero(new))
     logger.debug("pencil n=%d shift=%.10g sigma=%.10g count=%d found=%d "
-                 "fallback rounds=%d factor=%s", n, shift, sigma, count, found,
-                 rounds, served)
+                 "fallback rounds=%d", n, shift, sigma, count, found, rounds)
 
     values, C = scipy.linalg.eigh(V.T @ (K @ V), V.T @ (M @ V),
                                   subset_by_index=[0, k - 1])
@@ -294,18 +295,18 @@ def _certified_pairs(K, M, k: int, tol: float, sigma, count, shifted, served: st
     return out
 
 
-def _arpack_round(K, M, solve, width: int, start, tol: float, rng, round_: int,
-                  shift: float, which: str):
+def _arpack_round(K, M, solve, width: int, start, tol: float, rng, round_, shift):
     """``width`` Ritz pairs of the pencil from one eigsh call in
     shift-invert mode at ``shift``, with ``solve`` in place of
-    (K - shift M)^-1 and ``which`` choosing among nu = 1/(lambda - shift)."""
+    (K - shift M)^-1: the largest nu = 1/lambda at shift 0, else the
+    smallest nu = 1/(lambda - shift), the negative ones lying below it."""
     n = K.shape[0]
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
     # ARPACK stops on a Ritz estimate for the shifted inverse, not on the
     # pencil residual, so it runs at a tenth of tol; rng seeds the vectors
     # it draws when its Krylov space becomes invariant
     try:
-        vals, vecs = eigsh(K, width, M=M, sigma=shift, which=which,
+        vals, vecs = eigsh(K, width, M=M, sigma=shift, which="SA" if shift else "LM",
                            OPinv=op_inv, v0=start, tol=0.1 * tol, rng=rng)
     except ArpackNoConvergence as exc:
         raise EigenConvergenceError(

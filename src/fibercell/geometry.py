@@ -70,8 +70,11 @@ def build_cell_geometry(side=1.0, center=(0.5, 0.5), radius=0.25, height=1.0) ->
     Raises
     ------
     GeometryError
-        If any dimension is non-finite or non-positive, or the disk
-        touches/crosses the square boundary.
+        If ``center`` is not a pair, any dimension is non-finite or
+        non-positive, or the disk touches/crosses the square boundary.
     """
-    return CellGeometry(float(side), (float(center[0]), float(center[1])),
-                        float(radius), float(height))
+    try:
+        cx, cy = center
+    except (TypeError, ValueError):
+        raise GeometryError(f"center must be a pair (x, y), got {center!r}") from None
+    return CellGeometry(float(side), (float(cx), float(cy)), float(radius), float(height))

@@ -400,9 +400,9 @@ def read_mesh(path, geometry: CellGeometry) -> TriMesh:
     cell ``geometry``; nothing is inferred from the file.
 
     Raises ValueError, naming the path, unless the header ``nv nt`` (both
-    positive) is followed by exactly nv vertex rows of 2 columns and nt
-    triangle rows of 4, every vertex index lies in [0, nv) and every tag is
-    FIBER or MATRIX.
+    positive) is followed by exactly nv vertex rows of 2 finite coordinates
+    and nt triangle rows of 4, every vertex index lies in [0, nv) and every
+    tag is FIBER or MATRIX.
     """
     with open(path) as fh:
         header, rows = fh.readline(), fh.read().splitlines()
@@ -417,6 +417,8 @@ def read_mesh(path, geometry: CellGeometry) -> TriMesh:
         table = np.loadtxt(rows[nv:], dtype=np.int64, ndmin=2)
         if vertices.shape[1] != 2 or table.shape[1] != 4:
             raise ValueError("vertex rows need 2 columns and triangle rows 4")
+        if not np.isfinite(vertices).all():
+            raise ValueError("a vertex coordinate is not finite")
         if table[:, :3].min() < 0 or table[:, :3].max() >= nv:
             raise ValueError(f"a vertex index lies outside [0, {nv})")
         if not np.isin(table[:, 3], (FIBER, MATRIX)).all():

@@ -151,3 +151,12 @@ def test_degenerate_triangle_rejected(geometry):
                   tags=np.array([FIBER]), geometry=geometry)
     with pytest.raises(ValueError):
         fc.CellOperators(bad)
+
+
+def test_non_finite_triangle_rejected(geometry):
+    # a nan area passed the areas <= 0 test and built nan operators
+    bad = TriMesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]),
+                  triangles=np.array([[0, 1, 2]]),
+                  tags=np.array([FIBER]), geometry=geometry)
+    with pytest.raises(ValueError, match="non-finite"):
+        fc.CellOperators(bad)

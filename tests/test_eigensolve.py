@@ -1,6 +1,7 @@
 import logging
 import math
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,13 @@ def test_inertia_count_refuses_to_guess():
         fc.inertia_count(sp.identity(3, format="csc"), sp.identity(3, format="csr"), 1.0)
 
 
+def test_inertia_count_refuses_a_non_finite_pivot():
+    # the infinite pivot of K - 1.5 M used to count as positive: 1 below
+    K = sp.diags([1.0, math.inf, 2.0]).tocsc()
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite pivot"):
+        fc.inertia_count(K, sp.identity(3, format="csr"), 1.5)
+
+
 def test_probe_exhaustion_names_the_count():
     # every copy of a 40-fold eigenvalue is counted; six projected rounds
     # find twelve of them
@@ -261,7 +269,7 @@ def test_bound_next_to_the_spectrum_retries_on_k(mesh16, monkeypatch, caplog):
     # mode 2 at eps=0.05 under mode 1's 12th value (times 1 + 1e-8): that
     # bound sits 6.7e-5 (relative) below mode 2's 12th value, and the solve
     # with K - below M leaves a residual of 7.35e-9 at its smallest value;
-    # the pencil is solved again on a factor of K with the same count
+    # the pencil is solved again as a call without the bound for its count
     calls = []
     factorize_spd = eigensolve.factorize_spd
 
@@ -279,12 +287,16 @@ def test_bound_next_to_the_spectrum_retries_on_k(mesh16, monkeypatch, caplog):
     assert len(pairs) == 11 and all(pair.residual <= 1e-9 for pair in pairs)
     assert [pair.value for pair in pairs] == pytest.approx(values, rel=1e-10)
     assert calls == ["factorize_spd"]
-    assert "factor=K after sigma missed: residual" in caplog.text
+    assert re.search(r"missed at shift=1107\.58681\d*, solved without the bound: "
+                     r"residual", caplog.text)
+    assert [pair.value for pair in pairs] == [
+        pair.value for pair in fc.smallest_eigenpairs(K, M, 11)]
 
 
 def test_heap_is_trimmed_between_a_pencils_factors(monkeypatch):
-    # the factor of K is dropped before the count factors K - sigma M; a
-    # bound whose own factor serves the solve makes no second factor
+    # the factor of K is dropped before the count factors K - sigma M, and
+    # the count before a projected round factors K again; a bound whose own
+    # factor serves the solve makes no second factor
     if platform.libc_ver()[0] == "glibc":
         assert eigensolve._MALLOC_TRIM is not None
     calls = []
@@ -299,3 +311,8 @@ def test_heap_is_trimmed_between_a_pencils_factors(monkeypatch):
     calls.clear()
     assert len(fc.smallest_eigenpairs(K, eye, 3, below=2.5)) == 2
     assert calls == ["splu"]
+    calls.clear()
+    double = sp.diags(np.r_[1.0, 1.0, np.arange(2.0, 40.0)]).tocsr()
+    pairs = fc.smallest_eigenpairs(double, eye, 3)
+    assert [p.value for p in pairs] == pytest.approx([1, 1, 2])
+    assert calls == ["splu", ("trim", 0), "splu", ("trim", 0), "splu"]

@@ -42,3 +42,10 @@ def test_non_finite_dimensions_rejected(side, center, radius, height):
     # a NaN centre through
     with pytest.raises(GeometryError, match="finite"):
         build_cell_geometry(side, center, radius, height)
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5, 9.0), (0.5,)])
+def test_center_must_be_a_pair(center):
+    # a third entry used to be dropped, and a single one raised IndexError
+    with pytest.raises(GeometryError, match="pair"):
+        build_cell_geometry(1.0, center, 0.25, 1.0)

@@ -236,6 +236,14 @@ def test_read_mesh_refuses_unknown_tag(tmp_path, geometry):
     _refused(path, geometry, rows, "tag")
 
 
+def test_read_mesh_refuses_non_finite_coordinates(tmp_path, geometry):
+    # a nan vertex used to build nan operators, refused only by the
+    # eigensolver as a singular matrix
+    path, rows = _written_mesh8(tmp_path, geometry)
+    rows[1] = "nan 0.5"
+    _refused(path, geometry, rows, "not finite")
+
+
 def test_mesh_stores_four_fields(mesh16):
     # a hand-built copy derives the same interface nodes as the original
     assert [f.name for f in fields(TriMesh)] == ["vertices", "triangles", "tags",

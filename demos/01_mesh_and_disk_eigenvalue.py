@@ -10,8 +10,8 @@ import numpy as np
 
 import fibercell as fc
 
-geometry = fc.build_cell_geometry(side=1.0, center=(0.5, 0.5), radius=0.25,
-                                  height=1.0)
+geometry = fc.CellGeometry(side=1.0, center=(0.5, 0.5), radius=0.25,
+                           height=1.0)
 print(f"cell: side={geometry.side}, disk r={geometry.radius} at "
       f"{geometry.center}, |D|={geometry.disk_area:.6f}, "
       f"|C\\D|={geometry.matrix_area:.6f}")

@@ -11,7 +11,7 @@ import math
 
 import fibercell as fc
 
-geometry = fc.build_cell_geometry()
+geometry = fc.CellGeometry()
 params = fc.DispersionParams(geometry=geometry, n_terms=500)
 r = geometry.radius
 
@@ -41,7 +41,9 @@ for root in roots[:8] + roots[-2:]:
 print(f"...\naccumulation: mu1 - lambda_50 = "
       f"{100 * (params.mu1 - roots[-1].lam) / params.mu1:.3f}% of mu1")
 
-field = fc.LimitEigenfunction(root=roots[0], params=params)
+# the limit eigenvector is (lam u0 + 1) v_j on the fiber and v_j on the matrix
+lam = roots[0].lam
+center_value, boundary_value = lam * fc.u0_eval(lam, [0.0, r], r) + 1.0
 print(f"\nground-state limit eigenvector: fiber amplification at the disk "
-      f"center = {field.fiber_profile(0.0):.4f}, boundary value = "
-      f"{field.fiber_profile(r):.1f} (continuity across the interface)")
+      f"center = {center_value:.4f}, boundary value = "
+      f"{boundary_value:.1f} (continuity across the interface)")

@@ -12,7 +12,7 @@ import time
 
 import fibercell as fc
 
-geometry = fc.build_cell_geometry()
+geometry = fc.CellGeometry()
 eps_list = [0.4, 0.2, 0.1, 0.05]
 
 t0 = time.time()

@@ -13,7 +13,7 @@ import numpy as np
 
 import fibercell as fc
 
-geometry = fc.build_cell_geometry()
+geometry = fc.CellGeometry()
 mesh = fc.generate_mesh(geometry, 24)
 n1d = 16
 print(f"mesh 24^2 ({len(mesh.vertices)} vertices) x {n1d} vertical intervals "

@@ -8,7 +8,7 @@ tying the two together.
 
 __version__ = "0.1.0"
 
-from .geometry import CellGeometry, GeometryError, build_cell_geometry
+from .geometry import CellGeometry, GeometryError
 from .mesh import (FIBER, MATRIX, MeshQualityError, MidpointRule, QualityReport,
                    TriMesh, generate_mesh, mesh_quality, read_mesh,
                    structured_mesh, write_mesh)
@@ -16,11 +16,10 @@ from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
                        assemble_mode_pencil)
 from .eigensolve import (EigenPair, NotSPDError, SPDFactor, dense_eigen_oracle,
                          factorize_spd, inertia_count, smallest_eigenpairs)
-from .limit import (DispersionParams, LimitEigenfunction, LimitRoot,
-                    bessel_j0, bessel_j0_zero, bessel_j0_zeros, bessel_j1, delta,
-                    disk_radial_eigendata, limit_eigenvalues, mean_u0_closed,
-                    mean_u0_series, mu0_lower_bound, u0_eval, write_roots_csv,
-                    write_roots_json)
+from .limit import (DispersionParams, LimitRoot, bessel_j0, bessel_j0_zero,
+                    bessel_j0_zeros, bessel_j1, delta, disk_radial_eigendata,
+                    limit_eigenvalues, mean_u0_closed, mean_u0_series,
+                    mu0_lower_bound, u0_eval, write_roots_csv, write_roots_json)
 from .spectrum import (ConvergenceReport, MergedEigenvalue, ModeSpectrum,
                        ReportRow, convergence_sweep, discrete_disk_mu1,
                        discrete_mode_merge, eigenvector_error, kron_3d_oracle,

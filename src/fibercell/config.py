@@ -13,17 +13,32 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
-from .geometry import CellGeometry, build_cell_geometry
+from .geometry import CellGeometry, GeometryError
 
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    # bool subclasses int and json.load reads NaN/Infinity; none is a number here
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
+
+
 @dataclass
 class RunConfig:
+    """One run's parameters.  Construction checks every field (a
+    ``ConfigError`` whose message starts with the key) and stores the
+    numbers as floats, so ``1`` and ``1.0`` give the same config."""
+
     side: float = 1.0
     center: tuple[float, float] = (0.5, 0.5)
     radius: float = 0.25
@@ -37,9 +52,39 @@ class RunConfig:
     root_tol: float = 1e-12
     out_dir: str = "."
 
+    def __post_init__(self):
+        _require(_is_number(self.n_div, int) and self.n_div >= 8,
+                 f"n_div: must be an integer >= 8, got {self.n_div!r}")
+        doc = vars(self)  # the fields by name; writing to it sets them
+        for key in ("side", "radius", "height", "eig_tol", "root_tol"):
+            _require(_is_number(doc[key]) and doc[key] > 0,
+                     f"{key}: must be finite and positive, got {doc[key]!r}")
+            doc[key] = float(doc[key])
+        for key in ("j_max", "k_total", "n_terms"):
+            _require(_is_number(doc[key], int) and doc[key] >= 1,
+                     f"{key}: must be a positive integer, got {doc[key]!r}")
+        _require(self.n_terms >= 50,
+                 f"n_terms: must be >= 50, got {self.n_terms}")
+        center = self.center
+        _require(isinstance(center, (list, tuple)) and len(center) == 2
+                 and all(_is_number(v) for v in center),
+                 f"center: must be a pair of finite numbers, got {center!r}")
+        eps_list = self.eps_list
+        _require(isinstance(eps_list, list) and len(eps_list) >= 1
+                 and all(_is_number(v) and 0 < v <= 1 for v in eps_list),
+                 f"eps_list: must be a nonempty list of values in (0, 1], got {eps_list!r}")
+        _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
+                 f"eps_list: must be strictly decreasing, got {eps_list}")
+        _require(isinstance(self.out_dir, str),
+                 f"out_dir: must be a string, got {self.out_dir!r}")
+        self.eps_list = [float(v) for v in eps_list]
+        try:
+            self.center = self.geometry().center  # a pair of floats
+        except GeometryError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def geometry(self) -> CellGeometry:
-        return build_cell_geometry(self.side, tuple(self.center), self.radius,
-                                   self.height)
+        return CellGeometry(self.side, self.center, self.radius, self.height)
 
     def config_hash(self) -> str:
         # the hash identifies the numeric run, not where it is written
@@ -70,56 +115,12 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    # bool subclasses int and json.load reads NaN/Infinity; none is a number here
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
-
-
 def validate_config(doc: dict) -> RunConfig:
-    """Validate a raw JSON document against the schema and defaults."""
-    merged = asdict(RunConfig())
-    unknown = set(doc) - set(merged)
+    """Build a :class:`RunConfig` from a raw JSON document: unknown keys are
+    refused, missing keys get defaults, and the fields check themselves."""
+    unknown = set(doc) - {f.name for f in fields(RunConfig)}
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    merged.update(doc)
-
-    _require(_is_number(merged["n_div"], int) and merged["n_div"] >= 8,
-             f"n_div: must be an integer >= 8, got {merged['n_div']!r}")
-    for key in ("side", "radius", "height", "eig_tol", "root_tol"):
-        _require(_is_number(merged[key]) and merged[key] > 0,
-                 f"{key}: must be finite and positive, got {merged[key]!r}")
-        merged[key] = float(merged[key])
-    for key in ("j_max", "k_total", "n_terms"):
-        _require(_is_number(merged[key], int) and merged[key] >= 1,
-                 f"{key}: must be a positive integer, got {merged[key]!r}")
-    _require(merged["n_terms"] >= 50,
-             f"n_terms: must be >= 50, got {merged['n_terms']}")
-    center = merged["center"]
-    _require(isinstance(center, (list, tuple)) and len(center) == 2
-             and all(_is_number(v) for v in center),
-             f"center: must be a pair of finite numbers, got {center!r}")
-    eps_list = merged["eps_list"]
-    _require(isinstance(eps_list, list) and len(eps_list) >= 1
-             and all(_is_number(v) and 0 < v <= 1 for v in eps_list),
-             f"eps_list: must be a nonempty list of values in (0, 1], got {eps_list!r}")
-    _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
-             f"eps_list: must be strictly decreasing, got {eps_list}")
-    _require(isinstance(merged["out_dir"], str),
-             f"out_dir: must be a string, got {merged['out_dir']!r}")
-
-    merged["center"] = (float(center[0]), float(center[1]))
-    merged["eps_list"] = [float(v) for v in eps_list]
-    config = RunConfig(**merged)
-    try:
-        config.geometry()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config
+    return RunConfig(**doc)
 
 
 def parse_config(path) -> RunConfig:

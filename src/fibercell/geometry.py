@@ -9,6 +9,7 @@ relation) reads the geometry from this one object.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -20,6 +21,10 @@ class GeometryError(ValueError):
 class CellGeometry:
     """Square cell of side ``side`` with a disk of radius ``radius`` at
     ``center`` and vertical extent ``height``.
+
+    The fields are stored as floats.  Raises :class:`GeometryError` if
+    ``center`` is not a pair, any entry is not a finite number, a dimension
+    is not positive, or the disk touches or crosses the square boundary.
 
     Attributes
     ----------
@@ -33,25 +38,33 @@ class CellGeometry:
         Length of the cell in the vertical direction.
     """
 
-    side: float
-    center: tuple[float, float]
-    radius: float
-    height: float
+    side: float = 1.0
+    center: tuple[float, float] = (0.5, 0.5)
+    radius: float = 0.25
+    height: float = 1.0
 
     def __post_init__(self):
-        cx, cy = self.center
-        dims = (self.side, self.radius, self.height)
-        if not all(map(math.isfinite, (*dims, cx, cy))) or min(dims) <= 0:
+        try:
+            cx, cy = self.center
+        except (TypeError, ValueError):
             raise GeometryError(
-                "side, center, radius and height must be finite, and side, radius "
-                f"and height positive, got side={self.side}, center={self.center}, "
-                f"radius={self.radius}, height={self.height}")
-        wall = min(cx, cy, self.side - cx, self.side - cy)
-        if wall <= self.radius:
+                f"center must be a pair (x, y), got {self.center!r}") from None
+        # a non-number reads as NaN, so the finiteness check refuses it
+        side, cx, cy, radius, height = values = [
+            float(v) if isinstance(v, numbers.Real) else math.nan
+            for v in (self.side, cx, cy, self.radius, self.height)]
+        if not all(map(math.isfinite, values)) or min(side, radius, height) <= 0:
             raise GeometryError(
-                f"disk of radius {self.radius} centered at {self.center} is not "
-                f"strictly inside the square (clearance {wall - self.radius:g})"
-            )
+                "side, center, radius and height must be finite numbers, and side, "
+                f"radius and height positive, got side={self.side!r}, center="
+                f"{self.center!r}, radius={self.radius!r}, height={self.height!r}")
+        wall = min(cx, cy, side - cx, side - cy)
+        if wall <= radius:
+            raise GeometryError(
+                f"disk of radius {radius} centered at {(cx, cy)} is not strictly "
+                f"inside the square (clearance {wall - radius:g})")
+        # frozen: store the floats past the dataclass's __setattr__
+        vars(self).update(side=side, center=(cx, cy), radius=radius, height=height)
 
     @property
     def disk_area(self) -> float:
@@ -62,19 +75,3 @@ class CellGeometry:
     def matrix_area(self) -> float:
         """Area of the matrix cross-section C \\ D."""
         return self.side ** 2 - self.disk_area
-
-
-def build_cell_geometry(side=1.0, center=(0.5, 0.5), radius=0.25, height=1.0) -> CellGeometry:
-    """Validate and build a :class:`CellGeometry`.
-
-    Raises
-    ------
-    GeometryError
-        If ``center`` is not a pair, any dimension is non-finite or
-        non-positive, or the disk touches/crosses the square boundary.
-    """
-    try:
-        cx, cy = center
-    except (TypeError, ValueError):
-        raise GeometryError(f"center must be a pair (x, y), got {center!r}") from None
-    return CellGeometry(float(side), (float(cx), float(cy)), float(radius), float(height))

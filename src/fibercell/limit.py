@@ -210,14 +210,30 @@ def _bisect(f, target: float, mu1: float, stop):
     return mid, hi - lo, value
 
 
+def _check_floor(params: DispersionParams) -> None:
+    """Raises ``ValueError`` unless gamma_1 = lambda0 lies above delta at
+    the bisection floor ``_INTERVAL_MARGIN * mu1``.  Otherwise the first
+    roots lie below the floor and bisection returns the floor itself, as
+    for a cell taller than about 2.93e4 at r = 0.25."""
+    floor = _INTERVAL_MARGIN * params.mu1
+    if delta(floor, params) >= params.lambda0:
+        raise ValueError(
+            f"cell too tall for the limit roots: gamma_1 = {params.lambda0:.6g} "
+            f"is not above delta at the bisection floor lambda = {floor:.6g}")
+
+
 def mu0_lower_bound(params: DispersionParams) -> float:
     """mu0 = phi^-1(lambda0) with
     phi(t) = t (1 + |D|/|C\\D| + t |D| / (|C\\D| (mu1 - t))).
 
     phi majorizes delta (since S(t) <= |D|/(mu1 - t)), so every limit
-    eigenvalue is at least mu0.  Solved by bisection to relative bracket
-    width 1e-12.
+    eigenvalue is at least mu0.  Solved by bisection to bracket width
+    1e-12 mu1, returning the midpoint; for tall cells, where mu0 and the
+    first root lie closer than that width, the midpoint can exceed the
+    first root (height 3000: by 2.3e-11).  Raises ``ValueError`` where
+    ``_check_floor`` does.
     """
+    _check_floor(params)
     g = params.geometry
     disk = g.disk_area
     matrix = g.matrix_area
@@ -244,9 +260,11 @@ def limit_eigenvalues(params: DispersionParams, j_max: int,
     roots j <= 1000 on the radii 0.2496..0.2504 miss it).  The residual is
     not checked here; ``delta_check`` is delta at the accepted root, the
     value of the last bisection step, and no lambda is evaluated twice.
+    Raises ``ValueError`` where ``_check_floor`` does.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    _check_floor(params)
     roots = []
     L = params.geometry.height
     mu1 = params.mu1
@@ -265,36 +283,6 @@ def limit_eigenvalues(params: DispersionParams, j_max: int,
                                bracket_width=float(width),
                                delta_check=float(value)))
     return roots
-
-
-@dataclass
-class LimitEigenfunction:
-    """Evaluator of the limit eigenvector: (lam*u0 + 1) v_j on the fiber,
-    v_j alone on the matrix, with v_j(x3) = sqrt(2/L) sin(j pi x3 / L).
-    Continuous across the disk boundary because u0(r) = 0."""
-
-    root: LimitRoot
-    params: DispersionParams
-
-    def vertical(self, x3):
-        L = self.params.geometry.height
-        j = self.root.j
-        return math.sqrt(2.0 / L) * np.sin(j * math.pi * np.asarray(x3, float) / L)
-
-    def fiber_profile(self, rho):
-        """Horizontal factor lam*u0(rho) + 1 inside the disk."""
-        r = self.params.geometry.radius
-        return self.root.lam * u0_eval(self.root.lam, rho, r) + 1.0
-
-    def __call__(self, y, x3):
-        y = np.asarray(y, dtype=float)
-        c = np.asarray(self.params.geometry.center)
-        rho = np.hypot(y[..., 0] - c[0], y[..., 1] - c[1])
-        r = self.params.geometry.radius
-        horiz = np.where(rho <= r,
-                         self.fiber_profile(np.minimum(rho, r)),
-                         1.0)
-        return horiz * self.vertical(x3)
 
 
 def write_roots_csv(roots, params: DispersionParams, path,

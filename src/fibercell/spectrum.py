@@ -196,7 +196,8 @@ def _smallest_values(K, M, k: int) -> np.ndarray:
 
 
 def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh):
-    """L2 errors of the separated FEM field against the limit eigenvector.
+    """L2 errors of the separated FEM field against the limit eigenvector,
+    (lam*u0 + 1) v_j on the fiber and v_j on the matrix.
 
     The FEM pair is scale/sign-aligned to the limit field by the full-cell
     L2 inner product; the vertical factors sin(j pi x3/L) are shared and

@@ -7,7 +7,7 @@ import fibercell as fc
 
 @pytest.fixture(scope="session")
 def geometry():
-    return fc.build_cell_geometry()
+    return fc.CellGeometry()
 
 
 @pytest.fixture(scope="session")

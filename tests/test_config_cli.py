@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -58,6 +59,26 @@ def test_field_level_messages():
         validate_config({"n_terms": 10})
 
 
+def test_direct_construction_is_validated():
+    # RunConfig(...) and dataclasses.replace run the same checks as a file
+    with pytest.raises(ConfigError, match="^eig_tol: must be finite and positive, got True$"):
+        RunConfig(eig_tol=True)
+    with pytest.raises(ConfigError, match="^n_div: must be an integer >= 8, got 4$"):
+        RunConfig(n_div=4)
+    with pytest.raises(ConfigError, match="^disk of radius 0.6 centered at "
+                                          r"\(0.5, 0.5\) is not strictly inside"):
+        dataclasses.replace(RunConfig(), radius=0.6)
+
+
+def test_numbers_stored_as_floats():
+    # 1 and 1.0 spell the same config, so they hash alike
+    config = RunConfig(side=1, center=[0.5, 0.5], height=1, eps_list=[1, 0.5])
+    assert config == RunConfig(side=1.0, center=(0.5, 0.5), height=1.0,
+                               eps_list=[1.0, 0.5])
+    assert type(config.side) is float and type(config.eps_list[0]) is float
+    assert config.config_hash() == RunConfig(eps_list=[1.0, 0.5]).config_hash()
+
+
 @pytest.mark.parametrize("key, value", [
     ("side", True), ("radius", True), ("height", True), ("eig_tol", True),
     ("root_tol", True), ("j_max", True), ("k_total", True),
@@ -67,6 +88,8 @@ def test_boolean_is_not_a_number(key, value):
     # bool subclasses int, so eig_tol=true would pass as a 1.0 tolerance
     with pytest.raises(ConfigError, match=f"^{key}: "):
         validate_config({key: value})
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        RunConfig(**{key: value})
 
 
 @pytest.mark.parametrize("text", [
@@ -88,6 +111,14 @@ def test_cli_rejects_infinite_eig_tol(tmp_path, capsys):
     code = main(["converge", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
+def test_cli_too_tall_cell_is_a_compute_failure(tmp_path, capsys):
+    # any finite positive height is a valid config; its limit roots are not
+    cfg = _write_config(tmp_path, {"height": 1e5})
+    code = main(["limit-spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "compute"
 
 
 def test_config_hash_stability():

@@ -158,7 +158,7 @@ def test_k_out_of_range(mesh16):
 def test_off_centre_fiber_pencil_converges(mesh64):
     # a fiber centre moved by 1e-6 used to make converge raise
     # EigenConvergenceError ("only 0 of 8") on exactly this pencil
-    off_centre = fc.build_cell_geometry(center=(0.5 + 1e-6, 0.5))
+    off_centre = fc.CellGeometry(center=(0.5 + 1e-6, 0.5))
     mesh = fc.generate_mesh(off_centre, 64)
     gamma = (8 * math.pi) ** 2
     K, M = fc.assemble_mode_pencil(mesh, 0.4, gamma)

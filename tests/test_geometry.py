@@ -2,27 +2,27 @@ import math
 
 import pytest
 
-from fibercell import GeometryError, build_cell_geometry
+from fibercell import CellGeometry, GeometryError
 
 
 def test_default_cell_measures():
-    g = build_cell_geometry(1.0, (0.5, 0.5), 0.25, 1.0)
+    g = CellGeometry(1.0, (0.5, 0.5), 0.25, 1.0)
     assert g.disk_area == pytest.approx(math.pi / 16, abs=1e-15)
     assert g.matrix_area == pytest.approx(1 - math.pi / 16, abs=1e-15)
 
 
 def test_disk_tangent_to_boundary_rejected():
     with pytest.raises(GeometryError):
-        build_cell_geometry(1.0, (0.5, 0.5), 0.5, 1.0)
+        CellGeometry(1.0, (0.5, 0.5), 0.5, 1.0)
 
 
 def test_disk_crossing_boundary_rejected():
     with pytest.raises(GeometryError):
-        build_cell_geometry(1.0, (0.2, 0.5), 0.3, 1.0)
+        CellGeometry(1.0, (0.2, 0.5), 0.3, 1.0)
 
 
 def test_height_independent_of_areas():
-    g = build_cell_geometry(1.0, (0.5, 0.5), 0.25, 2.0)
+    g = CellGeometry(1.0, (0.5, 0.5), 0.25, 2.0)
     assert g.height == 2.0
     assert g.disk_area == pytest.approx(math.pi / 16, abs=1e-15)
 
@@ -31,7 +31,7 @@ def test_height_independent_of_areas():
     (0.0, 0.25, 1.0), (1.0, -0.1, 1.0), (1.0, 0.25, 0.0)])
 def test_nonpositive_dimensions_rejected(side, radius, height):
     with pytest.raises(GeometryError):
-        build_cell_geometry(side, (0.5, 0.5), radius, height)
+        CellGeometry(side, (0.5, 0.5), radius, height)
 
 
 @pytest.mark.parametrize("side,center,radius,height", [
@@ -41,11 +41,26 @@ def test_non_finite_dimensions_rejected(side, center, radius, height):
     # min(nan, ...) <= radius is False, so the clearance check alone lets
     # a NaN centre through
     with pytest.raises(GeometryError, match="finite"):
-        build_cell_geometry(side, center, radius, height)
+        CellGeometry(side, center, radius, height)
 
 
-@pytest.mark.parametrize("center", [(0.5, 0.5, 9.0), (0.5,)])
+@pytest.mark.parametrize("center", [(0.5, 0.5, 9.0), (0.5,), 0.5])
 def test_center_must_be_a_pair(center):
     # a third entry used to be dropped, and a single one raised IndexError
     with pytest.raises(GeometryError, match="pair"):
-        build_cell_geometry(1.0, center, 0.25, 1.0)
+        CellGeometry(1.0, center, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("side,center", [
+    (1.0, "ab"), (1.0, ("0.5", 0.5)), (1.0, (None, 0.5)), ("1.0", (0.5, 0.5))])
+def test_non_numbers_rejected(side, center):
+    # "ab" unpacks into two strings, which float() refused with a bare ValueError
+    with pytest.raises(GeometryError, match="finite numbers"):
+        CellGeometry(side, center, 0.25, 1.0)
+
+
+def test_fields_stored_as_floats():
+    g = CellGeometry(1, [0.5, 0.5], 0.25, 2)
+    assert g == CellGeometry(1.0, (0.5, 0.5), 0.25, 2.0)
+    assert all(type(v) is float for v in (g.side, *g.center, g.radius, g.height))
+    assert isinstance(g.center, tuple)

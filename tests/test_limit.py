@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import fibercell as fc
-from fibercell import (LimitEigenfunction, delta, disk_radial_eigendata,
-                       limit_eigenvalues, mean_u0_closed, mean_u0_series,
-                       mu0_lower_bound, u0_eval)
+from fibercell import (CellGeometry, DispersionParams, delta,
+                       disk_radial_eigendata, limit_eigenvalues, mean_u0_closed,
+                       mean_u0_series, mu0_lower_bound, u0_eval)
 from fibercell import limit
 from fibercell.limit import J01, bessel_j0, bessel_j0_zero, bessel_j1
 
@@ -102,10 +102,13 @@ def test_mean_u0_domain_errors(params, geometry):
         mean_u0_series(-1.0, params)
 
 
-def test_u0_boundary_and_center(geometry):
+def test_u0_boundary_and_center(geometry, params):
     r = geometry.radius
     assert u0_eval(10.0, r, r) == pytest.approx(0.0, abs=1e-14)
     assert u0_eval(1e-9, 0.0, r) == pytest.approx(r * r / 4, rel=1e-9)
+    # the limit eigenvector's fiber factor lam*u0 + 1 exceeds 1 at the centre
+    lam = limit_eigenvalues(params, 2)[1].lam
+    assert lam * u0_eval(lam, 0.0, r) + 1.0 > 1.0
 
 
 def test_u0_radial_pde_residual(geometry):
@@ -164,24 +167,16 @@ def test_root_bracket_certificate(params):
     assert (delta(lo, params) - root.gamma_j) < 0 < (delta(hi, params) - root.gamma_j)
 
 
-def test_limit_eigenfunction_structure(params, geometry):
-    root = limit_eigenvalues(params, 2)[1]
-    field = LimitEigenfunction(root=root, params=params)
-    L = geometry.height
-    r = geometry.radius
-    # continuity across the disk boundary: horizontal factor is 1 at rho=r
-    assert field.fiber_profile(r) == pytest.approx(1.0, abs=1e-12)
-    # Dirichlet in the vertical direction
-    assert field.vertical(0.0) == pytest.approx(0.0, abs=1e-14)
-    assert abs(field.vertical(L)) < 1e-12
-    # fiber amplification at the disk center
-    assert field.fiber_profile(0.0) > 1.0
-    # full evaluator agrees on the two sides of the interface
-    c = geometry.center
-    x3 = 0.3 * L
-    inside = field(np.array([c[0] + r - 1e-13, c[1]]), x3)
-    outside = field(np.array([c[0] + r + 1e-13, c[1]]), x3)
-    assert inside == pytest.approx(outside, rel=1e-9)
+@pytest.mark.parametrize("height", [1e5, 3e4])
+def test_cell_too_tall_for_the_bisection_floor(height):
+    # gamma_1 lies below delta at the floor 1e-10 mu1: at 1e5 the roots
+    # j = 1, 2, 3 all came back as the floor 9.2531e-9, at 3e4 the first
+    # root missed gamma_1 by 5%, and mu0 was the floor too
+    params = DispersionParams(geometry=CellGeometry(height=height))
+    with pytest.raises(ValueError, match="too tall"):
+        limit_eigenvalues(params, 3)
+    with pytest.raises(ValueError, match="too tall"):
+        mu0_lower_bound(params)
 
 
 def test_roots_csv_json_export(tmp_path, params):
@@ -264,7 +259,9 @@ def test_roots_evaluate_no_lambda_twice(params, monkeypatch):
 
     monkeypatch.setattr(limit, "delta", recording_delta)
     limit_eigenvalues(params, 1000)
-    # every bisection starts at the same midpoint: split the calls there
+    # one call checks the bisection floor, then every bisection starts at
+    # the same midpoint: split the calls there
+    assert seen.pop(0) == limit._INTERVAL_MARGIN * params.mu1
     starts = [i for i, lam in enumerate(seen) if lam == seen[0]] + [len(seen)]
     assert len(starts) == 1001
     for a, b in zip(starts, starts[1:]):

@@ -32,7 +32,7 @@ GOLDEN_HASHES = {
 
 @pytest.mark.parametrize("radius,n_div", sorted(GOLDEN_HASHES))
 def test_golden_mesh_hashes(radius, n_div):
-    geometry = fc.build_cell_geometry(center=(0.5, 0.5), radius=radius)
+    geometry = fc.CellGeometry(center=(0.5, 0.5), radius=radius)
     mesh = fc.generate_mesh(geometry, n_div)
     assert mesh.content_hash() == GOLDEN_HASHES[radius, n_div]
 
@@ -67,7 +67,7 @@ BRANCH_GOLDENS = [
 
 @pytest.mark.parametrize("center,radius,n_div,expected", BRANCH_GOLDENS)
 def test_branch_golden_meshes(center, radius, n_div, expected):
-    geometry = fc.build_cell_geometry(center=center, radius=radius)
+    geometry = fc.CellGeometry(center=center, radius=radius)
     try:
         got = fc.generate_mesh(geometry, n_div).content_hash()
     except fc.MeshQualityError as err:
@@ -96,7 +96,7 @@ def test_below_minimum_resolution_rejected(geometry):
 
 def test_quality_error_names_worst_triangle():
     # r = 0.252 fails at n_div 32, 64 and 128, so refining is no remedy
-    geometry = fc.build_cell_geometry(radius=0.252)
+    geometry = fc.CellGeometry(radius=0.252)
     with pytest.raises(fc.MeshQualityError,
                        match=r"centroid \(0\.394930, 0\.721036\) has min angle 13\.18"):
         fc.generate_mesh(geometry, 32)

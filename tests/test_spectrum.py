@@ -176,7 +176,7 @@ def test_kron_matches_production_merge(mesh12):
 def test_cell_height_comes_from_the_mesh():
     # every other test runs at height 1, where a height taken from the wrong
     # place would go unnoticed
-    mesh = fc.generate_mesh(fc.build_cell_geometry(height=2.0), 12)
+    mesh = fc.generate_mesh(fc.CellGeometry(height=2.0), 12)
     v3 = fc.kron_3d_oracle(mesh, 8, 0.5, 6)
     assert np.max(np.abs(v3 - fc.discrete_mode_merge(mesh, 8, 0.5, 6)) / v3) <= 1e-9
     ground = fc.merged_spectrum(mesh, 0.5, 3)[0].value

@@ -124,33 +124,31 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
     # Kronecker 3D oracle vs discrete mode merge on a coarse mesh
     coarse = generate_mesh(geometry, 12)
     for eps in (1.0, 0.2):
-        v3 = kron_3d_oracle(coarse, 8, eps, 8)
-        vm = discrete_mode_merge(coarse, 8, eps, 8)
-        rel = np.max(np.abs(v3 - vm) / np.abs(vm))
-        if rel > 1e-9:
-            failures.append(f"kron/merge mismatch {rel:.2e} at eps={eps}")
+        failures += _disagreement(f"kron/merge at eps={eps}",
+                                  kron_3d_oracle(coarse, 8, eps, 8),
+                                  discrete_mode_merge(coarse, 8, eps, 8))
 
-    # ARPACK shift-invert certified by an inertia count vs dense on a coarse pencil
+    # ARPACK shift-invert certified by an inertia count vs dense on a coarse
+    # pencil, without a bound and under one (ARPACK on the count's factor)
     K, M = assemble_mode_pencil(coarse, 0.3, (np.pi / geometry.height) ** 2)
     dense_vals, _ = dense_eigen_oracle(K, M)
-    krylov = smallest_eigenpairs(K, M, 6, tol=config.eig_tol)
-    for pair, ref in zip(krylov, dense_vals[:6]):
-        if abs(pair.value - ref) > 1e-9 * max(1.0, abs(ref)):
-            failures.append(
-                f"shift-invert/dense mismatch {pair.value!r} vs {ref!r}")
-            break
-
-    # the same pencil under a bound: ARPACK on the count's factor at sigma
     sigma = 0.5 * (dense_vals[3] + dense_vals[4])
-    bounded = smallest_eigenpairs(K, M, 6, tol=config.eig_tol, below=sigma)
-    if len(bounded) != 4:
-        failures.append(f"{len(bounded)} pairs below sigma={sigma!r}, dense has 4")
-    for pair, ref in zip(bounded, dense_vals[:4]):
-        if abs(pair.value - ref) > 1e-9 * max(1.0, abs(ref)):
-            failures.append(
-                f"shift-invert at sigma/dense mismatch {pair.value!r} vs {ref!r}")
-            break
+    for below, reference in ((None, dense_vals[:6]), (sigma, dense_vals[:4])):
+        pairs = smallest_eigenpairs(K, M, 6, tol=config.eig_tol, below=below)
+        failures += _disagreement(f"shift-invert/dense, below={below!r}",
+                                  [pair.value for pair in pairs], reference)
     return failures
+
+
+def _disagreement(check: str, values, reference) -> list[str]:
+    """[] when two ascending spectra agree: the same length, and
+    max |a - b| / max(1, |b|) <= 1e-9 over reference values b; else the
+    one failure line naming ``check``."""
+    values, reference = np.asarray(values), np.asarray(reference)
+    if len(values) != len(reference):
+        return [f"{check}: {len(values)} values, the reference has {len(reference)}"]
+    gap = np.max(np.abs(values - reference) / np.maximum(1, np.abs(reference)), initial=0)
+    return [] if gap <= 1e-9 else [f"{check} mismatch {gap:.2e}"]
 
 
 def _error_json(kind: str, message: str) -> None:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .geometry import CellGeometry, GeometryError
+from .geometry import CellGeometry, GeometryError, is_number
 
 
 class ConfigError(ValueError):
@@ -25,12 +24,6 @@ class ConfigError(ValueError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _is_number(value, kind=(int, float)) -> bool:
-    # bool subclasses int and json.load reads NaN/Infinity; none is a number here
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
 
 
 @dataclass
@@ -53,25 +46,25 @@ class RunConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        _require(_is_number(self.n_div, int) and self.n_div >= 8,
+        _require(is_number(self.n_div, int) and self.n_div >= 8,
                  f"n_div: must be an integer >= 8, got {self.n_div!r}")
         doc = vars(self)  # the fields by name; writing to it sets them
         for key in ("side", "radius", "height", "eig_tol", "root_tol"):
-            _require(_is_number(doc[key]) and doc[key] > 0,
+            _require(is_number(doc[key]) and doc[key] > 0,
                      f"{key}: must be finite and positive, got {doc[key]!r}")
             doc[key] = float(doc[key])
         for key in ("j_max", "k_total", "n_terms"):
-            _require(_is_number(doc[key], int) and doc[key] >= 1,
+            _require(is_number(doc[key], int) and doc[key] >= 1,
                      f"{key}: must be a positive integer, got {doc[key]!r}")
         _require(self.n_terms >= 50,
                  f"n_terms: must be >= 50, got {self.n_terms}")
         center = self.center
         _require(isinstance(center, (list, tuple)) and len(center) == 2
-                 and all(_is_number(v) for v in center),
+                 and all(is_number(v) for v in center),
                  f"center: must be a pair of finite numbers, got {center!r}")
         eps_list = self.eps_list
         _require(isinstance(eps_list, list) and len(eps_list) >= 1
-                 and all(_is_number(v) and 0 < v <= 1 for v in eps_list),
+                 and all(is_number(v) and 0 < v <= 1 for v in eps_list),
                  f"eps_list: must be a nonempty list of values in (0, 1], got {eps_list!r}")
         _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
                  f"eps_list: must be strictly decreasing, got {eps_list}")

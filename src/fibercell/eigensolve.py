@@ -19,7 +19,9 @@ copies a single Krylov space misses.  One Rayleigh-Ritz step on
 everything accepted gives the pairs, and every returned pair passes an
 explicit residual check.  A dense LAPACK oracle (``scipy.linalg.eigh``)
 covers every pencil small enough to afford it and cross-checks the
-iterative path in the validation suite.
+iterative path in the validation suite.  Every entry point reads K and M,
+dense or sparse, through ``scipy.sparse.csr_matrix``, which keeps a CSR
+input's arrays without copying them.
 """
 
 from __future__ import annotations
@@ -107,11 +109,13 @@ def _symmetric_lu(A: sp.spmatrix, error=np.linalg.LinAlgError, name="matrix"):
 
 
 class SPDFactor:
-    """Sparse symmetric factorization of an SPD matrix by ``_symmetric_lu``:
-    a singular matrix or any non-positive pivot certifies it is not SPD.
+    """Sparse symmetric factorization of an SPD matrix, dense or sparse, by
+    ``_symmetric_lu``: a singular matrix or any non-positive pivot
+    certifies it is not SPD.
     """
 
-    def __init__(self, K: sp.spmatrix):
+    def __init__(self, K):
+        K = sp.csr_matrix(K)
         if K.shape[0] != K.shape[1]:
             raise ValueError("matrix must be square")
         self._lu, pivots = _symmetric_lu(K, NotSPDError)
@@ -124,8 +128,8 @@ class SPDFactor:
         return self._lu.solve(b)
 
 
-def factorize_spd(K: sp.spmatrix) -> SPDFactor:
-    """Factor an SPD sparse matrix; raises NotSPDError otherwise."""
+def factorize_spd(K) -> SPDFactor:
+    """Factor an SPD matrix, dense or sparse; raises NotSPDError otherwise."""
     return SPDFactor(K)
 
 
@@ -138,7 +142,7 @@ def inertia_count(K, M, sigma: float) -> int:
     ``_symmetric_lu`` finds K - sigma M singular or leaves the diagonal,
     LinAlgError is raised instead of a guess.
     """
-    return _shifted_lu(K, M, sigma)[1]
+    return _shifted_lu(sp.csr_matrix(K), sp.csr_matrix(M), sigma)[1]
 
 
 def _shifted_lu(K, M, sigma: float):
@@ -159,14 +163,13 @@ def dense_eigen_oracle(K, M, count: int = None):
     -------
     (values, vectors): ascending eigenvalues and M-orthonormal columns.
     """
-    Kd = K.toarray() if sp.issparse(K) else np.asarray(K, dtype=float)
-    Md = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-    n = Kd.shape[0]
+    K, M = sp.csr_matrix(K), sp.csr_matrix(M)
+    n = K.shape[0]
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_MAX_N}, got {n}")
     subset = None if count is None else [0, min(count, n) - 1]
     try:
-        return scipy.linalg.eigh(Kd, Md, subset_by_index=subset)
+        return scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=subset)
     except np.linalg.LinAlgError as exc:
         # eigh's own Cholesky of M is the SPD check
         if "not positive definite" not in str(exc):
@@ -209,12 +212,12 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     otherwise, or when the sixth projected round still leaves fewer than c
     values found below s, EigenConvergenceError is raised.
     """
+    K, M = sp.csr_matrix(K), sp.csr_matrix(M)
     n = K.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the pencil size {n}")
-    M = M.tocsr() if sp.issparse(M) else sp.csr_matrix(M)
     if below is not None:
         lu, count = _shifted_lu(K, M, below)
         if count == 0:

@@ -9,12 +9,19 @@ relation) reads the geometry from this one object.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 
 class GeometryError(ValueError):
     """Raised when the requested cell geometry is inconsistent."""
+
+
+def is_number(value, kind=(int, float)) -> bool:
+    """The one number rule of the cell and the run configuration: an
+    instance of ``kind`` that is no bool, and finite unless an int."""
+    # bool subclasses int and json.load reads NaN/Infinity; none is a number here
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -23,8 +30,9 @@ class CellGeometry:
     ``center`` and vertical extent ``height``.
 
     The fields are stored as floats.  Raises :class:`GeometryError` if
-    ``center`` is not a pair, any entry is not a finite number, a dimension
-    is not positive, or the disk touches or crosses the square boundary.
+    ``center`` is not a pair, any entry is not a number by ``is_number``
+    (so no bool, and no NumPy scalar but a float), a dimension is not
+    positive, or the disk touches or crosses the square boundary.
 
     Attributes
     ----------
@@ -51,7 +59,7 @@ class CellGeometry:
                 f"center must be a pair (x, y), got {self.center!r}") from None
         # a non-number reads as NaN, so the finiteness check refuses it
         side, cx, cy, radius, height = values = [
-            float(v) if isinstance(v, numbers.Real) else math.nan
+            float(v) if is_number(v) else math.nan
             for v in (self.side, cx, cy, self.radius, self.height)]
         if not all(map(math.isfinite, values)) or min(side, radius, height) <= 0:
             raise GeometryError(

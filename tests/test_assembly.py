@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fibercell as fc
-from fibercell import FIBER
+from fibercell import FIBER, MATRIX
 from fibercell.mesh import TriMesh
 
 
@@ -160,3 +161,23 @@ def test_non_finite_triangle_rejected(geometry):
                   tags=np.array([FIBER]), geometry=geometry)
     with pytest.raises(ValueError, match="non-finite"):
         fc.CellOperators(bad)
+
+
+def _fiber_on_the_circle(geometry):
+    """One fiber triangle whose three vertices lie on the interface circle."""
+    return TriMesh(vertices=np.array([[0.75, 0.5], [0.5, 0.75], [0.25, 0.5]]),
+                   triangles=np.array([[0, 1, 2]]),
+                   tags=np.array([FIBER]), geometry=geometry)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda g: fc.CellOperators(_single_triangle_mesh(g)).stiffness(0.0, 1.0),
+     "weights must be positive"),
+    (lambda g: fc.assemble_dirichlet_disk(
+        replace(_single_triangle_mesh(g), tags=np.array([MATRIX]))),
+     "no fiber triangles"),
+    (lambda g: fc.assemble_dirichlet_disk(_fiber_on_the_circle(g)),
+     "no interior disk nodes")])
+def test_refusals(geometry, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(geometry)

@@ -5,6 +5,7 @@ import pytest
 
 import fibercell as fc
 from fibercell import ConfigError, RunConfig, parse_config, validate_config
+from fibercell import cli
 from fibercell.cli import main
 
 
@@ -50,6 +51,23 @@ def test_malformed_json_rejected(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed"):
         parse_config(str(path))
+
+
+@pytest.mark.parametrize("text,match", [
+    (None, "cannot read config file"), ("[0.4, 0.2]", "root must be a JSON object")])
+def test_parse_config_refusals(tmp_path, text, match):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        parse_config(str(path))
+
+
+@pytest.mark.parametrize("name", ["bogus", "", "MESH"])
+def test_run_command_refusals(tmp_path, name):
+    with pytest.raises(ConfigError, match="unknown command"):
+        cli.run_command(name, RunConfig(out_dir=str(tmp_path)))
+    assert not any(tmp_path.iterdir())
 
 
 def test_field_level_messages():
@@ -210,6 +228,22 @@ def test_cli_validate_passes(tmp_path):
     assert code == 0
     doc = json.loads((out / "validate.json").read_text())
     assert doc["passed"] is True
+
+
+def test_cli_validate_failure_names_the_check(tmp_path, monkeypatch, capsys):
+    # a mode merge off by 1e-6 relative fails the Kronecker check alone
+    merge = cli.discrete_mode_merge
+    monkeypatch.setattr(cli, "discrete_mode_merge",
+                        lambda *args: merge(*args) * (1 + 1e-6))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", _fast_config(tmp_path),
+                 "--out", str(out)]) == 1
+    doc = json.loads((out / "validate.json").read_text())
+    assert doc["passed"] is False
+    assert [line.split(" mismatch ")[0] for line in doc["failures"]] == [
+        "kron/merge at eps=1.0", "kron/merge at eps=0.2"]
+    assert json.loads(capsys.readouterr().err)["message"].startswith(
+        "validation failed: kron/merge at eps=1.0 mismatch 1.00e-06")
 
 
 def test_cli_unknown_command_usage_error(capsys):

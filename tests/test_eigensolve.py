@@ -316,3 +316,49 @@ def test_heap_is_trimmed_between_a_pencils_factors(monkeypatch):
     pairs = fc.smallest_eigenpairs(double, eye, 3)
     assert [p.value for p in pairs] == pytest.approx([1, 1, 2])
     assert calls == ["splu", ("trim", 0), "splu", ("trim", 0), "splu"]
+
+
+def test_dense_pencils_read_as_their_csr_copies():
+    # a dense K used to raise AttributeError ('tocsc') where a dense M was
+    # already converted; every entry point now reads both as CSR
+    K, M = np.diag(np.arange(1.0, 8.0)), np.eye(7)
+    Ks, Ms = sp.csr_matrix(K), sp.csr_matrix(M)
+    for k_in, m_in in ((K, M), (K, Ms), (Ks, M)):
+        assert [p.value for p in fc.smallest_eigenpairs(k_in, m_in, 3)] == [
+            p.value for p in fc.smallest_eigenpairs(Ks, Ms, 3)]
+        assert fc.inertia_count(k_in, m_in, 3.5) == fc.inertia_count(Ks, Ms, 3.5) == 3
+    assert np.array_equal(fc.factorize_spd(K).pivots, fc.factorize_spd(Ks).pivots)
+
+
+def test_csr_input_is_not_copied(monkeypatch):
+    # the pencil reader keeps a CSR input's arrays: ARPACK gets K and M
+    # themselves, not copies
+    K = sp.diags(np.arange(1.0, 41.0)).tocsr()
+    eye = sp.identity(40, format="csr")
+    seen = []
+    real_eigsh = eigensolve.eigsh
+
+    def eigsh_spy(A, *args, M=None, **kwargs):
+        seen.append((A, M))
+        return real_eigsh(A, *args, M=M, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
+    fc.smallest_eigenpairs(K, eye, 3)
+    assert seen and all(np.shares_memory(A.data, K.data)
+                        and np.shares_memory(B.data, eye.data) for A, B in seen)
+
+
+def _no_convergence(*args, **kwargs):
+    raise eigensolve.ArpackNoConvergence("no convergence", np.empty(0), np.empty((40, 0)))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: fc.factorize_spd(np.ones((2, 3))), ValueError, "must be square"),
+    (lambda: fc.smallest_eigenpairs(sp.diags(np.arange(1.0, 41.0)).tocsr(),
+                                    sp.identity(40, format="csr"), 3),
+     EigenConvergenceError, "only 0 of 3 eigenpairs converged")])
+def test_refusals(call, error, match, monkeypatch):
+    # every ARPACK call fails to converge, with no Ritz pair to offer
+    monkeypatch.setattr(eigensolve, "eigsh", _no_convergence)
+    with pytest.raises(error, match=match):
+        call()

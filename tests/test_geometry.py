@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fibercell import CellGeometry, GeometryError
@@ -51,12 +52,22 @@ def test_center_must_be_a_pair(center):
         CellGeometry(1.0, center, 0.25, 1.0)
 
 
-@pytest.mark.parametrize("side,center", [
-    (1.0, "ab"), (1.0, ("0.5", 0.5)), (1.0, (None, 0.5)), ("1.0", (0.5, 0.5))])
-def test_non_numbers_rejected(side, center):
-    # "ab" unpacks into two strings, which float() refused with a bare ValueError
+@pytest.mark.parametrize("fields", [
+    pytest.param(dict(center="ab"), id="1.0-ab"),
+    pytest.param(dict(center=("0.5", 0.5)), id="1.0-center1"),
+    pytest.param(dict(center=(None, 0.5)), id="1.0-center2"),
+    pytest.param(dict(side="1.0"), id="1.0-center3"),
+    pytest.param(dict(side=True), id="side-True"),
+    pytest.param(dict(height=True), id="height-True"),
+    pytest.param(dict(radius=np.float32(0.25)), id="radius-float32"),
+    pytest.param(dict(side=np.int64(1)), id="side-int64")])
+def test_non_numbers_rejected(fields):
+    # "ab" unpacks into two strings, which float() refused with a bare
+    # ValueError; a bool or a NumPy scalar other than a float passed as a
+    # numbers.Real (height=True built a cell of height 1.0) while RunConfig,
+    # whose number rule the cell now shares, refused it
     with pytest.raises(GeometryError, match="finite numbers"):
-        CellGeometry(side, center, 0.25, 1.0)
+        CellGeometry(**fields)
 
 
 def test_fields_stored_as_floats():
@@ -64,3 +75,6 @@ def test_fields_stored_as_floats():
     assert g == CellGeometry(1.0, (0.5, 0.5), 0.25, 2.0)
     assert all(type(v) is float for v in (g.side, *g.center, g.radius, g.height))
     assert isinstance(g.center, tuple)
+    # a NumPy float64 is a float, so it is a number by the shared rule
+    g = CellGeometry(radius=np.float64(0.25))
+    assert g == CellGeometry() and type(g.radius) is float

@@ -266,3 +266,13 @@ def test_roots_evaluate_no_lambda_twice(params, monkeypatch):
     assert len(starts) == 1001
     for a, b in zip(starts, starts[1:]):
         assert len(set(seen[a:b])) == b - a
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda params: disk_radial_eigendata(0.25, 0), "at least one mode"),
+    (lambda params: u0_eval(10.0, [0.0, 0.26], 0.25), r"rho must lie in \[0, r\]"),
+    (lambda params: u0_eval(10.0, -1e-3, 0.25), r"rho must lie in \[0, r\]"),
+    (lambda params: limit_eigenvalues(params, 0), "j_max must be >= 1")])
+def test_refusals(params, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(params)

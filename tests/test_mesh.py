@@ -284,3 +284,14 @@ def test_unique_edges_shape(mesh16):
 def test_quality_h_max(geometry, mesh16):
     q = fc.mesh_quality(mesh16)
     assert q.h_max <= math.sqrt(2) * geometry.side / 16 * 1.5
+
+
+@pytest.mark.parametrize("block,extra,why", [
+    (slice(1, 146), " 0.5", "vertex rows need 2 columns"),
+    (slice(146, None), " 0", "triangle rows 4")], ids=["vertices", "triangles"])
+def test_read_mesh_refusals(tmp_path, geometry, block, extra, why):
+    # every row of a block widened: loadtxt reads it, the column check
+    # refuses it (one widened row trips loadtxt first)
+    path, rows = _written_mesh8(tmp_path, geometry)
+    rows[block] = [row + extra for row in rows[block]]
+    _refused(path, geometry, rows, why)

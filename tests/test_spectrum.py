@@ -313,3 +313,11 @@ def test_report_files(tmp_path, geometry):
     doc = json.loads(json_path.read_text())
     assert doc["mesh_hash"] == report.mesh_hash
     assert len(doc["rows"]) == 4
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda mesh: fc.mode_spectrum(mesh, 0.2, 0, 1.0, 3), "mode index j must be >= 1"),
+    (lambda mesh: fc.merged_spectrum(mesh, 0.2, 0), "k_total must be >= 1")])
+def test_refusals(mesh12, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(mesh12)

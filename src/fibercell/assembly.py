@@ -5,17 +5,35 @@ stiffness entries (b_i b_j + c_i c_j) / (4A) from the barycentric gradient
 components, mass A/12 * [[2,1,1],[1,2,1],[1,1,2]].  ``CellOperators``
 scatters them once per mesh into fiber and matrix parts on one sparsity
 pattern; material weights, which encode the high-contrast coefficients of
-the mode problem, then scale and add those parts.
+the mode problem, then scale and add those parts.  On a mesh with the
+symmetries of the square, the parts are also projected once onto the
+orthonormal basis of each D4 symmetry sector, where every pencil is again
+a weighted sum of four parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import FIBER, TriMesh
+from .mesh import FIBER, TriMesh, d4_permutations
+
+_PARTS = ("stiff_fiber", "stiff_matrix", "mass_fiber", "mass_matrix")
+# on the rows of ``d4_permutations`` (rotations by 0, 90, 180, 270 degrees,
+# then the reflections u -> -u, v -> -v, across u = v and across u = -v):
+# the characters of D4's four 1-dimensional representations, and for its
+# 2-dimensional one E the (1, 1) entry, whose projector keeps the functions
+# odd in u and even in v
+_SECTOR_WEIGHTS = {
+    "A1": (1, 1, 1, 1, 1, 1, 1, 1),
+    "A2": (1, 1, 1, 1, -1, -1, -1, -1),
+    "B1": (1, -1, 1, -1, 1, 1, -1, -1),
+    "B2": (1, -1, 1, -1, -1, -1, 1, 1),
+    "E": (1, 0, -1, 0, -1, 1, 0, 0),
+}
 
 
 def _element_geometry(mesh: TriMesh):
@@ -36,6 +54,66 @@ def _check_weights(w_fiber: float, w_matrix: float) -> None:
         raise ValueError("material weights must be positive")
 
 
+@dataclass(frozen=True)
+class Sector:
+    """One symmetry sector of the vertex functions: the span of the
+    orthonormal columns of ``basis`` (n x m CSR, at most one nonzero per
+    row).  Each eigenpair of a pencil projected onto it stands for
+    ``copies`` eigenpairs of the whole pencil; the second copy of a lifted
+    vector w is ``w[rotation]``, w turned by 90 degrees."""
+
+    name: str
+    basis: sp.csr_matrix
+    copies: int = 1
+    rotation: np.ndarray = None
+
+
+def whole_sector(n: int) -> Sector:
+    """All n vertex functions as one sector, with basis I."""
+    return Sector("whole", sp.identity(n, format="csr"))
+
+
+def symmetry_sectors(mesh: TriMesh) -> list[Sector]:
+    """The sectors A1, A2, B1, B2 and E of the D4 symmetry that
+    ``d4_permutations`` finds in ``mesh``, or ``[whole_sector(n)]`` when it
+    finds none.
+
+    Each vertex orbit gives a 1-dimensional sector the sum of its
+    character over the orbit as a column, normalized, or no column where
+    that sum vanishes.  E gets the sums of its (1, 1) entry from the
+    orbit's first vertex and from that vertex's mirror across u = v; the
+    two are orthogonal, or parallel, and then the second is dropped.
+    Columns run in orbit order.  The sector sizes add up to n with E
+    counted twice (Bossavit, CMAME 56, 1986)."""
+    n = len(mesh.vertices)
+    perms = d4_permutations(mesh)
+    if perms is None:
+        return [whole_sector(n)]
+    # every vertex lies in one orbit, so a sum over an orbit has at most one
+    # entry per vertex: its weight on the vertices of that orbit
+    first, orbit = np.unique(perms.min(axis=0), return_inverse=True)
+    sectors = []
+    for name, weights in _SECTOR_WEIGHTS.items():
+        sums = [np.bincount(perms[:, seeds].ravel(), np.repeat(weights, len(first)), n)
+                for seeds in ((first, perms[6, first]) if name == "E" else (first,))]
+        # orbit order, and within an orbit the sum from the first vertex first
+        slot = np.stack([orbit * 2 + half for half in range(len(sums))])
+        weight = np.stack(sums)
+        if name == "E":
+            parallel = np.bincount(orbit, sums[0] * sums[1], len(first)) != 0
+            weight[1, parallel[orbit]] = 0.0
+        live = weight != 0.0
+        slot, weight = slot[live], weight[live]
+        columns, column = np.unique(slot, return_inverse=True)
+        norms = np.sqrt(np.bincount(column, weight * weight))
+        rows = np.nonzero(live)[1]
+        basis = sp.csr_matrix((weight / norms[column], (rows, column)),
+                              shape=(n, len(columns)))
+        sectors.append(Sector(name, basis, 2, perms[3]) if name == "E"
+                       else Sector(name, basis))
+    return sectors
+
+
 class CellOperators:
     """Unit-weight stiffness and mass of the fiber and of the matrix
     triangles, K_F, K_M, M_F, M_M, on one shared CSR pattern.
@@ -47,35 +125,90 @@ class CellOperators:
 
     The production path (``convergence_sweep``) builds one set per mesh
     and passes it to every pencil of that mesh; the oracles build their
-    own.
+    own.  ``mesh`` is the mesh the set was built from, and None for a set
+    made by ``project``.
     """
 
     def __init__(self, mesh: TriMesh):
         areas, b, c = _element_geometry(mesh)
-        n = len(mesh.vertices)
+        self.mesh = mesh
         tri = mesh.triangles
-        # sorted unique row * n + col keys are the CSR order of the pattern;
-        # ``slot`` sends every local entry to its place in ``data``
-        keys, slot = np.unique(np.repeat(tri, 3, axis=1).ravel() * n
-                               + np.tile(tri, (1, 3)).ravel(), return_inverse=True)
-        self.shape = (n, n)
-        # every operator shares these two arrays, so nothing may sort them
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        n = len(mesh.vertices)
+        slot = self._pattern(np.repeat(tri, 3, axis=1).ravel() * n
+                             + np.tile(tri, (1, 3)).ravel(), n)
         fiber = np.repeat(mesh.tags == FIBER, 9)
-        nnz = len(keys)
 
         def split(local):
             local = local.ravel()
-            return (np.bincount(slot, np.where(fiber, local, 0.0), nnz),
-                    np.bincount(slot, np.where(fiber, 0.0, local), nnz))
+            return (np.bincount(slot, np.where(fiber, local, 0.0), len(self.indices)),
+                    np.bincount(slot, np.where(fiber, 0.0, local), len(self.indices)))
 
         self.stiff_fiber, self.stiff_matrix = split(
             (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
             / (4.0 * areas)[:, None, None])
         template = (np.ones((3, 3)) + np.eye(3)) / 12.0
         self.mass_fiber, self.mass_matrix = split(areas[:, None, None] * template)
+
+    def _pattern(self, keys: np.ndarray, n: int) -> np.ndarray:
+        """Sets the n x n CSR pattern of the entries with keys row * n + col
+        and returns each entry's slot in ``data``."""
+        # the sorted unique keys are the CSR order of the pattern
+        keys, slot = np.unique(keys, return_inverse=True)
+        self.shape = (n, n)
+        # every operator shares these two arrays, so nothing may sort them
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        return slot
+
+    def project(self, basis) -> CellOperators:
+        """This set projected onto the columns of ``basis`` (n x m, sparse
+        or dense, at most one stored entry per row): the four parts B^t X B
+        on one union m x m pattern, so a pencil of the projected set is
+        again a sum of ``data`` arrays.  The parts come out exactly
+        symmetric, and with B = I equal to this set's; the projected set
+        has no mesh."""
+        basis = sp.csr_matrix(basis)
+        n, m = basis.shape
+        one = np.diff(basis.indptr)
+        if n != self.shape[0] or (one > 1).any():
+            raise ValueError("basis needs one row per vertex, each with at "
+                             "most one stored entry")
+        # a row without an entry weighs 0, so its entries of X drop out
+        column = np.zeros(n, dtype=np.int64)
+        column[one == 1] = basis.indices
+        weight = np.zeros(n)
+        weight[one == 1] = basis.data
+        # X is symmetric, so B^t X B = T + T^t, where T sums the entries
+        # i <= j of X, the diagonal halved, each at the (lower, higher) pair
+        # of the columns of i and j
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        upper = np.flatnonzero(rows <= self.indices)
+        rows, cols = rows[upper], self.indices[upper]
+        scale = weight[rows] * weight[cols] * np.where(rows == cols, 0.5, 1.0)
+        live = np.flatnonzero(scale)
+        upper, scale = upper[live], scale[live]
+        a, b = column[rows[live]], column[cols[live]]
+        keys, slot = np.unique(np.minimum(a, b) * m + np.maximum(a, b),
+                               return_inverse=True)
+        lower, higher = np.divmod(keys, m)
+        off = np.flatnonzero(lower != higher)
+        double = np.where(lower == higher, 2.0, 1.0)
+        projected = object.__new__(CellOperators)
+        projected.mesh = None
+        place = projected._pattern(np.concatenate([keys, higher[off] * m + lower[off]]), m)
+        for name in _PARTS:
+            t = np.bincount(slot, scale * getattr(self, name)[upper], len(keys))
+            setattr(projected, name, np.bincount(
+                place, np.concatenate([double * t, t[off]]), len(place)))
+        return projected
+
+    @cached_property
+    def sectors(self) -> list:
+        """(sector, this set projected onto its basis) for each of the
+        mesh's ``symmetry_sectors``, projected on first read."""
+        return [(sector, self.project(sector.basis))
+                for sector in symmetry_sectors(self.mesh)]
 
     def _csr(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)

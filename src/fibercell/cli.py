@@ -121,12 +121,20 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
             failures.append(f"series/closed mismatch at lambda={lam:.6g}")
             break
 
-    # Kronecker 3D oracle vs discrete mode merge on a coarse mesh
+    # on a coarse mesh: Kronecker 3D oracle vs discrete mode merge, and the
+    # sector path of the merge vs a dense merge of the whole mode pencils
     coarse = generate_mesh(geometry, 12)
     for eps in (1.0, 0.2):
         failures += _disagreement(f"kron/merge at eps={eps}",
                                   kron_3d_oracle(coarse, 8, eps, 8),
                                   discrete_mode_merge(coarse, 8, eps, 8))
+        whole = sorted(value for j in range(1, 9) for value in dense_eigen_oracle(
+            *assemble_mode_pencil(coarse, eps, (j * np.pi / geometry.height) ** 2),
+            count=8)[0])
+        failures += _disagreement(f"sector/whole at eps={eps}",
+                                  [e.value for e in merged_spectrum(
+                                      coarse, eps, 8, tol=config.eig_tol)],
+                                  whole[:8])
 
     # ARPACK shift-invert certified by an inertia count vs dense on a coarse
     # pencil, without a bound and under one (ARPACK on the count's factor)

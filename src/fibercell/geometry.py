@@ -18,10 +18,15 @@ class GeometryError(ValueError):
 
 def is_number(value, kind=(int, float)) -> bool:
     """The one number rule of the cell and the run configuration: an
-    instance of ``kind`` that is no bool, and finite unless an int."""
-    # bool subclasses int and json.load reads NaN/Infinity; none is a number here
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
+    instance of ``kind`` that is no bool, and finite as a float."""
+    # bool subclasses int and json.load reads NaN/Infinity; none is a number
+    # here, nor an int too large for a float
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -386,6 +386,77 @@ def _repair_triangles(vertices, triangles, on_circle, center, r, h):
     return tris, areas, angles
 
 
+def d4_permutations(mesh: TriMesh):
+    """The eight symmetries of the square cell as vertex permutations, or
+    None when the mesh does not have them.
+
+    Rows are the rotations by 0, 90, 180 and 270 degrees about the cell
+    centre, then the reflections u -> -u, v -> -v, (u, v) -> (v, u) and
+    (u, v) -> (-v, -u) of the centred coordinates (u, v); ``perms[g, i]``
+    is the vertex that g moves vertex i onto.  The mesh has the symmetry
+    when the two generators, the 90 degree rotation and u -> -u, each move
+    every vertex within 1e-12 * side of a distinct vertex and every
+    triangle onto a triangle with the same tag; the other six rows are
+    their products.
+    """
+    side = mesh.geometry.side
+    centred = mesh.vertices - 0.5 * side
+    if not (np.abs(centred) <= side).all():
+        return None
+    u, v = centred.T
+    nv = len(u)
+    # a grid far finer than the vertex spacing and far coarser than the
+    # mismatch: a moved vertex lands in its partner's cell or a neighbour
+    step = 1e-9 * side
+    width = 2 * int(side / step) + 3
+
+    def cell_keys(x, y, dx=0, dy=0):
+        return ((np.rint(x / step).astype(np.int64) + dx) * width
+                + np.rint(y / step).astype(np.int64) + dy)
+
+    def triangle_keys(triangles):
+        t = np.sort(triangles, axis=1)
+        return (t[:, 0] * nv + t[:, 1]) * nv + t[:, 2]
+
+    keys = cell_keys(u, v)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    tri_keys = triangle_keys(mesh.triangles)
+    tri_order = np.argsort(tri_keys)
+    sorted_tri_keys = tri_keys[tri_order]
+
+    def generator(x, y):
+        perm = np.full(nv, -1)
+        for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                       (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            todo = np.flatnonzero(perm < 0)
+            if not todo.size:
+                break
+            want = cell_keys(x[todo], y[todo], dx, dy)
+            at = np.minimum(np.searchsorted(sorted_keys, want), nv - 1)
+            hit = sorted_keys[at] == want
+            perm[todo[hit]] = order[at[hit]]
+        if ((perm < 0).any() or (np.bincount(perm, minlength=nv) != 1).any()
+                or np.abs(centred[perm] - np.column_stack([x, y])).max() > 1e-12 * side):
+            return None
+        moved = triangle_keys(perm[mesh.triangles])
+        at = np.minimum(np.searchsorted(sorted_tri_keys, moved), len(moved) - 1)
+        if ((sorted_tri_keys[at] != moved).any()
+                or (mesh.tags[tri_order[at]] != mesh.tags).any()):
+            return None
+        return perm
+
+    rot = generator(-v, u)
+    flip = None if rot is None else generator(-u, v)
+    if flip is None:
+        return None
+    rot2 = rot[rot]
+    rot3 = rot[rot2]
+    # g after h moves vertex i onto perm_g[perm_h[i]]
+    return np.array([np.arange(nv), rot, rot2, rot3,
+                     flip, rot2[flip], rot3[flip], rot[flip]])
+
+
 def write_mesh(mesh: TriMesh, path) -> None:
     """Write the text format: header ``nv nt``, then ``x y`` per vertex,
     then ``i j k tag`` per triangle (0-based; tag 0=FIBER, 1=MATRIX)."""

@@ -3,9 +3,11 @@
 Coefficients depend only on the cross-section and the vertical boundary
 condition is Dirichlet, so separated fields w(y) sin(j pi x3 / L) decouple
 the 3D problem into one 2D pencil per vertical mode; the 3D spectrum is the
-sorted merge over modes.  At the discrete level the same identity is exact
-with the Kronecker-assembled tensor pencil and the *discrete* vertical
-eigenvalues, which gives the validation oracle.  Convergence machinery
+sorted merge over modes.  On a mesh with the symmetries of the square each
+mode pencil is solved on its five D4 sectors, and on any other mesh whole;
+the oracles always solve whole pencils.  At the discrete level the same
+identity is exact with the Kronecker-assembled tensor pencil and the
+*discrete* vertical eigenvalues, which gives the validation oracle.  Convergence machinery
 pairs merged eigenvalues with limit roots by mode label and measures the
 bound slack, the limit gap and the eigenvector structure errors.
 """
@@ -20,10 +22,10 @@ import scipy.sparse as sp
 
 from . import __version__ as _pkg_version
 from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
-                       assemble_mode_pencil)
+                       assemble_mode_pencil, whole_sector)
 from .config import write_json as _write_json, write_table
-from .eigensolve import (EigenPair, dense_eigen_oracle, smallest_eigenpairs,
-                         DENSE_ORACLE_MAX_N)
+from .eigensolve import (EigenConvergenceError, EigenPair, dense_eigen_oracle,
+                         smallest_eigenpairs, DENSE_ORACLE_MAX_N)
 from .geometry import CellGeometry
 from .limit import (DispersionParams, LimitRoot, limit_eigenvalues, u0_eval)
 from .mesh import TriMesh, generate_mesh
@@ -103,12 +105,55 @@ def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
     """k smallest eigenpairs of the pencil of vertical mode j on a cell of
     height L, assembled from ``operators`` (the mesh's CellOperators, built
     here if None); with ``below``, only those below it (see
-    ``smallest_eigenpairs``)."""
+    ``smallest_eigenpairs``).
+
+    The pencil is solved on the symmetry sectors of ``operators.sectors``,
+    each a pencil of the projected operator set.  Sector A1 comes first;
+    once k pairs are known, every later sector is solved only below the
+    k-th of them (times 1 + 1e-8, and never above ``below``).  A sector
+    pair (value, v) lifts to the vector P v of the whole mesh, and an E
+    pair counts twice, its second copy being the first turned by 90
+    degrees.  Each lifted pair's residual is taken on the whole pencil:
+    above ``tol`` it raises EigenConvergenceError, even where the sector
+    pencil passed.  A mesh without the symmetry, or a k that fills a
+    sector, is solved as one sector with P = I, which is the whole pencil.
+    """
     if j < 1:
         raise ValueError("mode index j must be >= 1")
     gamma = (j * math.pi / L) ** 2
-    K, M = assemble_mode_pencil(mesh, eps, gamma, operators=operators)
-    return ModeSpectrum(pairs=smallest_eigenpairs(K, M, k, tol=tol, below=below))
+    ops = CellOperators(mesh) if operators is None else operators
+    K, M = assemble_mode_pencil(mesh, eps, gamma, operators=ops)
+    sectors = ops.sectors
+    if any(-(-k // sector.copies) >= sector_ops.shape[0]
+           for sector, sector_ops in sectors):
+        sectors = [(whole_sector(K.shape[0]), ops)]
+    pairs: list[EigenPair] = []
+    for sector, sector_ops in sectors:
+        bound = below
+        if len(pairs) == k:
+            bound = pairs[-1].value * (1 + 1e-8)
+            bound = bound if below is None else min(below, bound)
+        K_s, M_s = assemble_mode_pencil(mesh, eps, gamma, operators=sector_ops)
+        for pair in smallest_eigenpairs(K_s, M_s, -(-k // sector.copies), tol=tol,
+                                        below=bound):
+            vector = sector.basis @ pair.vector
+            copies = [vector] if sector.copies == 1 else [vector, vector[sector.rotation]]
+            pairs += [_whole_pencil_pair(K, M, pair.value, v, tol) for v in copies]
+        pairs.sort(key=lambda pair: pair.value)
+        del pairs[k:]
+    return ModeSpectrum(pairs=pairs)
+
+
+def _whole_pencil_pair(K, M, value: float, vector: np.ndarray, tol: float) -> EigenPair:
+    """The pair with its residual ||K v - value M v|| / ||K v|| on the whole
+    pencil; EigenConvergenceError when that is above ``tol``."""
+    Kv = K @ vector
+    res = float(np.linalg.norm(Kv - value * (M @ vector)) / np.linalg.norm(Kv))
+    if res > tol:
+        raise EigenConvergenceError(
+            f"residual {res:.2e} above tolerance {tol:.1e} at eigenvalue "
+            f"{value:.10g}")
+    return EigenPair(value=value, vector=vector, residual=res)
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
@@ -118,14 +163,16 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
 
     Ties break by (value, j).  Mode 1 gives its k_total smallest pairs.
     Every later mode j gives only its pairs below the k-th merged value
-    (times 1 + 1e-8), whose number an inertia count fixes before any solve,
-    and the first mode with none ends the merge: mode pencils increase with
-    j, so no later mode has any either.  That happens by mode k_total at
-    the latest: K grows with gamma by at least eps^2 M, so each mode's
-    smallest eigenvalue exceeds the previous mode's, and after mode k_total
-    the k_total ground values seen so far bound the k-th merged value by
-    mode k_total's own.  Every mode pencil comes from ``operators`` (built
-    here if None).
+    (times 1 + 1e-8), whose number the inertia counts of its sector
+    pencils fix before any solve, and the first mode with none ends the
+    merge: mode pencils increase with j, so no later mode has any either.
+    That happens by mode k_total at the latest: K grows with gamma by at
+    least eps^2 M, so each mode's smallest eigenvalue exceeds the previous
+    mode's, and after mode k_total the k_total ground values seen so far
+    bound the k-th merged value by mode k_total's own.  Each mode is
+    solved by ``mode_spectrum`` on the symmetry sectors of ``operators``
+    (built here if None), so the sector projections are made once for all
+    modes; an E value gives two entries of consecutive rank.
     """
     if k_total < 1:
         raise ValueError("k_total must be >= 1")

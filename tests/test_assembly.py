@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fibercell as fc
 from fibercell import FIBER, MATRIX
-from fibercell.mesh import TriMesh
+from fibercell.assembly import symmetry_sectors
+from fibercell.mesh import TriMesh, d4_permutations
 
 
 def _single_triangle_mesh(geometry):
@@ -181,3 +183,71 @@ def _fiber_on_the_circle(geometry):
 def test_refusals(geometry, call, match):
     with pytest.raises(ValueError, match=match):
         call(geometry)
+
+
+@pytest.mark.parametrize("radius", [0.2, 0.2496, 0.25, 0.2504])
+@pytest.mark.parametrize("n_div", [16, 32])
+def test_five_orthonormal_sectors(radius, n_div):
+    mesh = fc.generate_mesh(fc.CellGeometry(radius=radius), n_div)
+    sectors = symmetry_sectors(mesh)
+    assert [s.name for s in sectors] == ["A1", "A2", "B1", "B2", "E"]
+    assert [s.copies for s in sectors] == [1, 1, 1, 1, 2]
+    sizes = [s.basis.shape[1] for s in sectors]
+    assert sum(sizes) + sizes[-1] == len(mesh.vertices)
+    for s in sectors:
+        P = s.basis
+        assert np.diff(P.indptr).max() == 1
+        assert abs(P.T @ P - sp.identity(P.shape[1])).max() <= 1e-15
+    # the sectors are mutually orthogonal, and E's columns are odd in u
+    # and even in v
+    P = sp.hstack([s.basis for s in sectors]).tocsc()
+    assert abs(P.T @ P - sp.identity(P.shape[1])).max() <= 1e-15
+    E = sectors[-1]
+    perms = d4_permutations(mesh)
+    assert abs(E.basis[perms[4]] + E.basis).max() == 0  # u -> -u
+    assert abs(E.basis[perms[5]] - E.basis).max() == 0  # v -> -v
+    assert np.array_equal(E.rotation, perms[3])
+
+
+def test_asymmetric_meshes_are_one_sector(mesh16):
+    tags = mesh16.tags.copy()
+    tags[np.flatnonzero(tags == FIBER)[0]] = MATRIX
+    for mesh in (fc.generate_mesh(fc.CellGeometry(center=(0.5, 0.500001)), 16),
+                 replace(mesh16, tags=tags)):
+        (sector,) = symmetry_sectors(mesh)
+        assert sector.name == "whole" and sector.copies == 1
+        assert abs(sector.basis - sp.identity(len(mesh.vertices))).max() == 0
+
+
+def test_projection_onto_the_identity_is_exact(mesh16):
+    # so a mesh without the symmetry keeps today's pencils to the bit
+    ops = fc.CellOperators(mesh16)
+    same = ops.project(sp.identity(len(mesh16.vertices)))
+    assert same.shape == ops.shape and same.mesh is None
+    assert np.array_equal(same.indices, ops.indices)
+    assert np.array_equal(same.indptr, ops.indptr)
+    for name in ("stiff_fiber", "stiff_matrix", "mass_fiber", "mass_matrix"):
+        assert np.array_equal(getattr(same, name), getattr(ops, name))
+
+
+def test_projected_parts_are_symmetric_basis_products(mesh16):
+    ops = fc.CellOperators(mesh16)
+    for sector, projected in ops.sectors:
+        P = sector.basis
+        for weights in ((1.0, 0.05 ** -2), (2.0, 3.0)):
+            full = P.T @ ops.stiffness(*weights) @ P
+            part = projected.stiffness(*weights)
+            assert abs(part - part.T).max() == 0
+            assert abs(part - full).max() <= 1e-12 * abs(full).max()
+            full = P.T @ ops.mass(*weights) @ P
+            part = projected.mass(*weights)
+            assert abs(part - part.T).max() == 0
+            assert abs(part - full).max() <= 1e-12 * abs(full).max()
+
+
+def test_projection_refuses_overlapping_columns(mesh16):
+    n = len(mesh16.vertices)
+    with pytest.raises(ValueError, match="at most one stored entry"):
+        fc.CellOperators(mesh16).project(np.ones((n, 2)))
+    with pytest.raises(ValueError, match="one row per vertex"):
+        fc.CellOperators(mesh16).project(sp.identity(n - 1))

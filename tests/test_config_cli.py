@@ -123,6 +123,27 @@ def test_non_finite_numbers_rejected(tmp_path, text):
         parse_config(str(path))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("side", 10 ** 401), ("radius", 10 ** 401), ("height", 10 ** 401),
+    ("eig_tol", 10 ** 401), ("center", [10 ** 401, 0.5]), ("eps_list", [10 ** 401]),
+    ("n_div", 10 ** 401), ("k_total", 10 ** 401),
+])
+def test_int_too_large_for_a_float_is_not_a_number(key, value):
+    # ints passed the finiteness test, so a 401-digit side raised
+    # OverflowError at float() instead of a ConfigError
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        RunConfig(**{key: value})
+
+
+def test_cli_refuses_int_too_large_for_a_float(tmp_path, capsys):
+    # it was reported as {"error": "compute"} with exit 1
+    path = tmp_path / "config.json"
+    path.write_text('{"side": 1' + "0" * 400 + "}")
+    code = main(["mesh", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+
+
 def test_cli_rejects_infinite_eig_tol(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text('{"eig_tol": Infinity}')
@@ -244,6 +265,20 @@ def test_cli_validate_failure_names_the_check(tmp_path, monkeypatch, capsys):
         "kron/merge at eps=1.0", "kron/merge at eps=0.2"]
     assert json.loads(capsys.readouterr().err)["message"].startswith(
         "validation failed: kron/merge at eps=1.0 mismatch 1.00e-06")
+
+
+def test_cli_validate_checks_the_sector_merge(tmp_path, monkeypatch):
+    # merged_spectrum off by 1e-6 relative fails the sector/whole check alone
+    merge = cli.merged_spectrum
+    monkeypatch.setattr(cli, "merged_spectrum", lambda *args, **kwargs: [
+        dataclasses.replace(e, value=e.value * (1 + 1e-6))
+        for e in merge(*args, **kwargs)])
+    out = tmp_path / "out"
+    assert main(["validate", "--config", _fast_config(tmp_path),
+                 "--out", str(out)]) == 1
+    doc = json.loads((out / "validate.json").read_text())
+    assert [line.split(" mismatch ")[0] for line in doc["failures"]] == [
+        "sector/whole at eps=1.0", "sector/whole at eps=0.2"]
 
 
 def test_cli_unknown_command_usage_error(capsys):

@@ -60,12 +60,15 @@ def test_center_must_be_a_pair(center):
     pytest.param(dict(side=True), id="side-True"),
     pytest.param(dict(height=True), id="height-True"),
     pytest.param(dict(radius=np.float32(0.25)), id="radius-float32"),
-    pytest.param(dict(side=np.int64(1)), id="side-int64")])
+    pytest.param(dict(side=np.int64(1)), id="side-int64"),
+    pytest.param(dict(side=10 ** 401), id="side-401-digits"),
+    pytest.param(dict(center=(10 ** 401, 0.5)), id="center-401-digits")])
 def test_non_numbers_rejected(fields):
     # "ab" unpacks into two strings, which float() refused with a bare
     # ValueError; a bool or a NumPy scalar other than a float passed as a
     # numbers.Real (height=True built a cell of height 1.0) while RunConfig,
-    # whose number rule the cell now shares, refused it
+    # whose number rule the cell now shares, refused it; an int too large
+    # for a float raised OverflowError at float()
     with pytest.raises(GeometryError, match="finite numbers"):
         CellGeometry(**fields)
 

@@ -9,7 +9,8 @@ import pytest
 
 import fibercell as fc
 from fibercell import FIBER, MATRIX
-from fibercell.mesh import TriMesh, signed_areas, structured_mesh, unique_edges
+from fibercell.mesh import (TriMesh, d4_permutations, signed_areas, structured_mesh,
+                            unique_edges)
 
 
 # content_hash of reference meshes centred at (0.5, 0.5): any change to the
@@ -295,3 +296,43 @@ def test_read_mesh_refusals(tmp_path, geometry, block, extra, why):
     path, rows = _written_mesh8(tmp_path, geometry)
     rows[block] = [row + extra for row in rows[block]]
     _refused(path, geometry, rows, why)
+
+
+def _images(mesh):
+    # the eight symmetries of the square in the row order of d4_permutations
+    u, v = (mesh.vertices - 0.5 * mesh.geometry.side).T
+    return [(u, v), (-v, u), (-u, -v), (v, -u), (-u, v), (u, -v), (v, u), (-v, -u)]
+
+
+@pytest.mark.parametrize("radius", [0.2, 0.2496, 0.25, 0.2504])
+@pytest.mark.parametrize("n_div", [16, 32])
+def test_centred_mesh_has_the_square_symmetries(radius, n_div):
+    mesh = fc.generate_mesh(fc.CellGeometry(radius=radius), n_div)
+    perms = d4_permutations(mesh)
+    assert perms.shape == (8, len(mesh.vertices))
+    assert np.array_equal(perms[0], np.arange(len(mesh.vertices)))
+    for perm, image in zip(perms, _images(mesh)):
+        assert np.array_equal(np.sort(perm), np.arange(len(mesh.vertices)))
+        moved = mesh.vertices[perm] - 0.5
+        assert np.abs(moved - np.column_stack(image)).max() <= 1e-12
+        tris = {tuple(sorted(t)): tag for t, tag in zip(mesh.triangles.tolist(), mesh.tags)}
+        assert all(tris[tuple(sorted(perm[t]))] == tag
+                   for t, tag in zip(mesh.triangles.tolist(), mesh.tags))
+
+
+def test_symmetry_survives_the_text_format(tmp_path, geometry, mesh16):
+    path = tmp_path / "mesh.txt"
+    fc.write_mesh(mesh16, path)
+    assert np.array_equal(d4_permutations(fc.read_mesh(path, geometry)),
+                          d4_permutations(mesh16))
+
+
+def test_asymmetric_meshes_have_no_permutations(mesh16):
+    off_centre = fc.generate_mesh(fc.CellGeometry(center=(0.5, 0.500001)), 16)
+    assert d4_permutations(off_centre) is None
+    tags = mesh16.tags.copy()
+    tags[np.flatnonzero(tags == FIBER)[0]] = MATRIX
+    assert d4_permutations(replace(mesh16, tags=tags)) is None
+    far = mesh16.vertices.copy()
+    far[0] = (1e12, 1e12)  # outside the cell: refused before any grid key
+    assert d4_permutations(replace(mesh16, vertices=far)) is None

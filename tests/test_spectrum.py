@@ -69,12 +69,14 @@ def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
 
 
 def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
-    # each later mode factors K - sigma M once, for its inertia count at the
-    # bound, and that factor drives an ARPACK round of exactly the count;
-    # the mode that ends the merge (count 0) factors once and runs no round
+    # per (mode, sector) pencil: mode 1's first sector solves without a
+    # bound; every pencil solved under a bound factors K - sigma M once, for
+    # its inertia count at the bound, and that factor drives an ARPACK round
+    # of exactly the count, or none when the count is 0; no factor of K is
+    # made under a bound; the mode whose every sector counts 0 ends the merge
     work = []
     factorize_spd, symmetric_lu = eigensolve.factorize_spd, eigensolve._symmetric_lu
-    eigsh = eigensolve.eigsh
+    eigsh, solve = eigensolve.eigsh, spectrum.smallest_eigenpairs
 
     def factor_spy(K):
         work.append("factor")
@@ -88,29 +90,110 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
         work.append(k)
         return eigsh(A, k, **kwargs)
 
-    modes = []
+    modes, pencils = [], []
 
     def recording(mesh, eps, j, L, k, **kwargs):
+        modes.append(j)
+        return fc.mode_spectrum(mesh, eps, j, L, k, **kwargs)
+
+    def solve_spy(K, M, k, tol, below):
         start = len(work)
-        spec = fc.mode_spectrum(mesh, eps, j, L, k, **kwargs)
-        modes.append((j, kwargs["below"], work[start:], len(spec.pairs)))
-        return spec
+        pairs = solve(K, M, k, tol=tol, below=below)
+        pencils.append((modes[-1], K, M, below, work[start:], len(pairs)))
+        return pairs
 
     monkeypatch.setattr(eigensolve, "factorize_spd", factor_spy)
     monkeypatch.setattr(eigensolve, "_symmetric_lu", lu_spy)
     monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
+    monkeypatch.setattr(spectrum, "smallest_eigenpairs", solve_spy)
     monkeypatch.setattr(spectrum, "mode_spectrum", recording)
     merged = fc.merged_spectrum(mesh16, 0.2, 8)
-    assert modes[0][:2] == (1, None) and modes[0][2][:3] == ["factor", "lu", 8]
-    assert [j for j, *_ in modes] == list(range(1, len(modes) + 1))
-    for j, below, calls, found in modes[1:-1]:
-        K, M = fc.assemble_mode_pencil(mesh16, 0.2, (j * math.pi) ** 2)
+    assert modes == list(range(1, len(modes) + 1))
+    sectors = len(fc.CellOperators(mesh16).sectors)
+    assert sectors == 5 and len(pencils) == sectors * len(modes)
+    first, *bounded = pencils
+    assert first[0] == 1 and first[3] is None and first[4][:3] == ["factor", "lu", 8]
+    for j, K, M, below, calls, found in bounded:
+        assert below is not None
         count = fc.inertia_count(K, M, below)
-        assert found == count and calls[:2] == ["lu", count]
+        assert found == count
+        assert (calls == ["lu"]) if count == 0 else (calls[:2] == ["lu", count])
         assert calls.count("lu") == 1 and "factor" not in calls
-    j_end, _, calls, found = modes[-1]
-    assert (found, calls) == (0, ["lu"])
+    j_end = modes[-1]
+    assert all(found == 0 for j, *_, found in pencils if j == j_end)
     assert j_end <= 8 and all(e.j < j_end for e in merged)
+    assert any(found for j, *_, found in bounded if j == 1)
+
+
+@pytest.mark.parametrize("k_total", [3, 8, 12])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
+@pytest.mark.parametrize("mesh_name", ["mesh12", "mesh16"])
+def test_sector_merge_matches_dense_whole_pencils(mesh_name, eps, k_total, request):
+    # the sector path against a dense merge of the whole mode pencils
+    mesh = request.getfixturevalue(mesh_name)
+    assert [sector.name for sector, _ in fc.CellOperators(mesh).sectors] == [
+        "A1", "A2", "B1", "B2", "E"]
+    pencils = {j: fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
+               for j in range(1, k_total + 1)}
+    dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
+                   for rank, value in enumerate(
+                       fc.dense_eigen_oracle(K, M, count=k_total)[0], start=1))[:k_total]
+    merged = fc.merged_spectrum(mesh, eps, k_total, tol=1e-9)
+    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in dense]
+    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in dense], rel=1e-10)
+    for e in merged:
+        K, M = pencils[e.j]
+        v = e.pair.vector
+        Kv = K @ v
+        assert e.pair.residual == np.linalg.norm(Kv - e.value * (M @ v)) / np.linalg.norm(Kv)
+        assert e.pair.residual <= 1e-9
+    # the pairs of one mode, the two copies of an E value among them, are
+    # M-orthonormal
+    for j in {e.j for e in merged}:
+        M = pencils[j][1]
+        V = np.column_stack([e.pair.vector for e in merged if e.j == j])
+        assert np.abs(V.T @ (M @ V) - np.eye(V.shape[1])).max() <= 1e-10
+
+
+def test_e_copies_are_m_orthogonal_turns(mesh16):
+    # an E value comes twice: the second vector is the first turned by 90
+    # degrees, and the two are M-orthogonal
+    ops = fc.CellOperators(mesh16)
+    sector = next(sector for sector, _ in ops.sectors if sector.name == "E")
+    spec = fc.mode_spectrum(mesh16, 0.2, 1, 1.0, 8, operators=ops)
+    K, M = fc.assemble_mode_pencil(mesh16, 0.2, math.pi ** 2, operators=ops)
+    pairs = spec.pairs
+    twins = [(a, b) for a, b in zip(pairs, pairs[1:]) if a.value == b.value]
+    assert twins
+    for a, b in twins:
+        assert np.array_equal(b.vector, a.vector[sector.rotation])
+        assert abs(a.vector @ (M @ b.vector)) <= 1e-12
+        assert a.vector @ (M @ a.vector) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_residual_gate_is_on_the_whole_pencil(mesh16, monkeypatch):
+    # a sector pair that its own pencil accepted is still refused when its
+    # lifted vector misses tol on the whole pencil
+    solve = spectrum.smallest_eigenpairs
+
+    def off_by_1e6(K, M, k, tol, below):
+        return [eigensolve.EigenPair(p.value * (1 + 1e-6), p.vector, 0.0)
+                for p in solve(K, M, k, tol=tol, below=below)]
+
+    monkeypatch.setattr(spectrum, "smallest_eigenpairs", off_by_1e6)
+    with pytest.raises(eigensolve.EigenConvergenceError, match="above tolerance"):
+        fc.mode_spectrum(mesh16, 0.2, 1, 1.0, 3)
+
+
+def test_k_that_fills_a_sector_solves_the_whole_pencil(geometry):
+    # at n_div 8 sector A2 has 12 unknowns, fewer than k = 20
+    mesh = fc.generate_mesh(geometry, 8)
+    sizes = [ops.shape[0] for _, ops in fc.CellOperators(mesh).sectors]
+    assert sizes == [25, 12, 16, 20, 36] and len(mesh.vertices) == 145
+    K, M = fc.assemble_mode_pencil(mesh, 0.3, math.pi ** 2)
+    spec = fc.mode_spectrum(mesh, 0.3, 1, 1.0, 20)
+    assert spec.values == pytest.approx(fc.dense_eigen_oracle(K, M, count=20)[0],
+                                        rel=1e-10)
 
 
 def test_sequential_sweeps_deterministic(geometry):

@@ -26,7 +26,6 @@ input's arrays without copying them.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 from dataclasses import dataclass
 
@@ -58,35 +57,6 @@ class EigenPair:
     value: float
     vector: np.ndarray
     residual: float
-
-
-def _malloc_trim():
-    """glibc's ``malloc_trim``, or None where the C library has none."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, TypeError, AttributeError):
-        return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
-
-
-_MALLOC_TRIM = _malloc_trim()
-
-
-def _trim_heap():
-    """Hands the pages of freed heap blocks back to the system, after a
-    pencil drops one factor to make the next.
-
-    SuperLU sizes its work arrays from a fill estimate and writes only part
-    of them, and once a factor has been freed glibc serves the next one's
-    arrays from the heap instead of fresh mappings.  The freed factor's
-    pages stay resident there, and whether the new arrays land on them
-    depends on the heap's layout: the n_div = 128 count after the factor
-    of K peaked at 111 MB in some fresh processes and 126 MB in others.
-    Trimmed, the peak is the live data plus the pages the new factor
-    writes."""
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
 
 
 def _symmetric_lu(A: sp.spmatrix, error=np.linalg.LinAlgError, name="matrix"):
@@ -206,11 +176,12 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     M-orthogonally to the accepted vectors V.  One Rayleigh-Ritz step on
     span(V), a dense eigh of (V^t K V, V^t M V), then gives the k values
     and M-orthonormal vectors, with a deterministic basis inside each
-    degenerate eigenspace.  At most one sparse factorization is alive, and
-    the heap is trimmed before each one after the first.
-    Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol``;
-    otherwise, or when the sixth projected round still leaves fewer than c
-    values found below s, EigenConvergenceError is raised.
+    degenerate eigenspace.  At most one sparse factorization is alive:
+    each is released before the next is made.
+    Returned pairs satisfy ``||K v - value M v|| / ||K v|| <= tol``
+    (``residual_gate``); otherwise, or when the sixth projected round still
+    leaves fewer than c values found below s, EigenConvergenceError is
+    raised.
     """
     K, M = sp.csr_matrix(K), sp.csr_matrix(M)
     n = K.shape[0]
@@ -231,7 +202,6 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
                 logger.debug("pencil n=%d missed at shift=%.10g, solved "
                              "without the bound: %s", n, below, exc)
         k, lu = min(k, count), None  # released before K is factored
-        _trim_heap()
     return _certified_pairs(K, M, k, tol)
 
 
@@ -250,7 +220,6 @@ def _certified_pairs(K, M, k: int, tol: float, shifted=None):
         # factors K - sigma M, so the factor of K goes first
         sigma = values.max() * (1 - 1e-8)
         factor = None
-        _trim_heap()
         count = inertia_count(K, M, sigma)
     found = int(np.count_nonzero(values < sigma))
     rounds = 0
@@ -264,7 +233,6 @@ def _certified_pairs(K, M, k: int, tol: float, shifted=None):
                 f"found {found} after {_PROBE_ROUNDS} rounds")
         rounds += 1
         if factor is None:
-            _trim_heap()
             factor = factorize_spd(K)
         # P (K - shift M)^-1 P^t with P = I - V V^t M, the M-orthogonal
         # projector onto the complement of the accepted vectors
@@ -285,17 +253,20 @@ def _certified_pairs(K, M, k: int, tol: float, shifted=None):
 
     values, C = scipy.linalg.eigh(V.T @ (K @ V), V.T @ (M @ V),
                                   subset_by_index=[0, k - 1])
-    out = []
-    for val, c in zip(values, C.T):
-        vec = _fix_sign(V @ c)
-        Kv = K @ vec
-        res = float(np.linalg.norm(Kv - val * (M @ vec)) / np.linalg.norm(Kv))
-        if res > tol:
-            raise EigenConvergenceError(
-                f"residual {res:.2e} above tolerance {tol:.1e} at "
-                f"eigenvalue {val:.10g}")
-        out.append(EigenPair(value=float(val), vector=vec, residual=res))
-    return out
+    return [residual_gate(K, M, float(val), _fix_sign(V @ c), tol)
+            for val, c in zip(values, C.T)]
+
+
+def residual_gate(K, M, value: float, vector: np.ndarray, tol: float) -> EigenPair:
+    """The pair with its residual ||K v - value M v|| / ||K v||;
+    EigenConvergenceError when that is above ``tol``."""
+    Kv = K @ vector
+    res = float(np.linalg.norm(Kv - value * (M @ vector)) / np.linalg.norm(Kv))
+    if res > tol:
+        raise EigenConvergenceError(
+            f"residual {res:.2e} above tolerance {tol:.1e} at eigenvalue "
+            f"{value:.10g}")
+    return EigenPair(value=value, vector=vector, residual=res)
 
 
 def _arpack_round(K, M, solve, width: int, start, tol: float, rng, round_, shift):

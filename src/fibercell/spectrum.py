@@ -4,8 +4,9 @@ Coefficients depend only on the cross-section and the vertical boundary
 condition is Dirichlet, so separated fields w(y) sin(j pi x3 / L) decouple
 the 3D problem into one 2D pencil per vertical mode; the 3D spectrum is the
 sorted merge over modes.  On a mesh with the symmetries of the square each
-mode pencil is solved on its five D4 sectors, and on any other mesh whole;
-the oracles always solve whole pencils.  At the discrete level the same
+mode pencil is solved on its five D4 sectors, and on any other mesh whole,
+in one lazy merge over the (mode, sector) pencils; the oracles always
+solve whole pencils.  At the discrete level the same
 identity is exact with the Kronecker-assembled tensor pencil and the
 *discrete* vertical eigenvalues, which gives the validation oracle.  Convergence machinery
 pairs merged eigenvalues with limit roots by mode label and measures the
@@ -24,7 +25,7 @@ from . import __version__ as _pkg_version
 from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
                        assemble_mode_pencil, whole_sector)
 from .config import write_json as _write_json, write_table
-from .eigensolve import (EigenConvergenceError, EigenPair, dense_eigen_oracle,
+from .eigensolve import (EigenPair, dense_eigen_oracle, residual_gate,
                          smallest_eigenpairs, DENSE_ORACLE_MAX_N)
 from .geometry import CellGeometry
 from .limit import (DispersionParams, LimitRoot, limit_eigenvalues, u0_eval)
@@ -100,96 +101,87 @@ class ConvergenceReport:
 
 
 def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
-                  tol: float = 1e-9, operators: CellOperators = None,
-                  below: float = None) -> ModeSpectrum:
+                  tol: float = 1e-9, operators: CellOperators = None) -> ModeSpectrum:
     """k smallest eigenpairs of the pencil of vertical mode j on a cell of
     height L, assembled from ``operators`` (the mesh's CellOperators, built
-    here if None); with ``below``, only those below it (see
-    ``smallest_eigenpairs``).
-
-    The pencil is solved on the symmetry sectors of ``operators.sectors``,
-    each a pencil of the projected operator set.  Sector A1 comes first;
-    once k pairs are known, every later sector is solved only below the
-    k-th of them (times 1 + 1e-8, and never above ``below``).  A sector
-    pair (value, v) lifts to the vector P v of the whole mesh, and an E
-    pair counts twice, its second copy being the first turned by 90
-    degrees.  Each lifted pair's residual is taken on the whole pencil:
-    above ``tol`` it raises EigenConvergenceError, even where the sector
-    pencil passed.  A mesh without the symmetry, or a k that fills a
-    sector, is solved as one sector with P = I, which is the whole pencil.
-    """
+    here if None): ``_lazy_merge`` over this one mode."""
     if j < 1:
         raise ValueError("mode index j must be >= 1")
-    gamma = (j * math.pi / L) ** 2
-    ops = CellOperators(mesh) if operators is None else operators
-    K, M = assemble_mode_pencil(mesh, eps, gamma, operators=ops)
-    sectors = ops.sectors
-    if any(-(-k // sector.copies) >= sector_ops.shape[0]
-           for sector, sector_ops in sectors):
-        sectors = [(whole_sector(K.shape[0]), ops)]
-    pairs: list[EigenPair] = []
-    for sector, sector_ops in sectors:
-        bound = below
-        if len(pairs) == k:
-            bound = pairs[-1].value * (1 + 1e-8)
-            bound = bound if below is None else min(below, bound)
-        K_s, M_s = assemble_mode_pencil(mesh, eps, gamma, operators=sector_ops)
-        for pair in smallest_eigenpairs(K_s, M_s, -(-k // sector.copies), tol=tol,
-                                        below=bound):
-            vector = sector.basis @ pair.vector
-            copies = [vector] if sector.copies == 1 else [vector, vector[sector.rotation]]
-            pairs += [_whole_pencil_pair(K, M, pair.value, v, tol) for v in copies]
-        pairs.sort(key=lambda pair: pair.value)
-        del pairs[k:]
-    return ModeSpectrum(pairs=pairs)
-
-
-def _whole_pencil_pair(K, M, value: float, vector: np.ndarray, tol: float) -> EigenPair:
-    """The pair with its residual ||K v - value M v|| / ||K v|| on the whole
-    pencil; EigenConvergenceError when that is above ``tol``."""
-    Kv = K @ vector
-    res = float(np.linalg.norm(Kv - value * (M @ vector)) / np.linalg.norm(Kv))
-    if res > tol:
-        raise EigenConvergenceError(
-            f"residual {res:.2e} above tolerance {tol:.1e} at eigenvalue "
-            f"{value:.10g}")
-    return EigenPair(value=value, vector=vector, residual=res)
+    return ModeSpectrum(pairs=[pair for _, _, pair in
+                               _lazy_merge(mesh, eps, [j], L, k, tol, operators)])
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
                     operators: CellOperators = None) -> list[MergedEigenvalue]:
-    """The k_total smallest values of the per-mode spectra, solved lazily;
-    the cell height is ``mesh.geometry.height``.
+    """The k_total smallest values of the per-mode spectra: ``_lazy_merge``
+    over modes 1..k_total, with the cell height ``mesh.geometry.height``
+    and ``operators`` built here if None, so the sector projections are
+    made once for all modes.  Ranks count within each mode, an E value
+    giving two entries of consecutive rank.
 
-    Ties break by (value, j).  Mode 1 gives its k_total smallest pairs.
-    Every later mode j gives only its pairs below the k-th merged value
-    (times 1 + 1e-8), whose number the inertia counts of its sector
-    pencils fix before any solve, and the first mode with none ends the
-    merge: mode pencils increase with j, so no later mode has any either.
-    That happens by mode k_total at the latest: K grows with gamma by at
-    least eps^2 M, so each mode's smallest eigenvalue exceeds the previous
+    No mode above k_total is needed: K grows with gamma by at least
+    eps^2 M, so each mode's smallest eigenvalue exceeds the previous
     mode's, and after mode k_total the k_total ground values seen so far
-    bound the k-th merged value by mode k_total's own.  Each mode is
-    solved by ``mode_spectrum`` on the symmetry sectors of ``operators``
-    (built here if None), so the sector projections are made once for all
-    modes; an E value gives two entries of consecutive rank.
+    bound the k-th merged value by mode k_total's own.
     """
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
-    if operators is None:
-        operators = CellOperators(mesh)
+    merged = _lazy_merge(mesh, eps, range(1, k_total + 1), mesh.geometry.height,
+                         k_total, tol, operators)
+    modes = [j for _, j, _ in merged]
+    return [MergedEigenvalue(value=value, j=j, rank=modes[:i].count(j) + 1, pair=pair)
+            for i, (value, j, pair) in enumerate(merged)]
 
-    merged: list[MergedEigenvalue] = []
-    for j in range(1, k_total + 1):
-        below = merged[-1].value * (1 + 1e-8) if merged else None
-        spec = mode_spectrum(mesh, eps, j, mesh.geometry.height, k_total, tol=tol,
-                             operators=operators, below=below)
-        if not spec.pairs:
+
+def _lazy_merge(mesh: TriMesh, eps: float, modes, L: float, k: int, tol: float,
+                operators: CellOperators):
+    """The k smallest eigenpairs over the pencils of the vertical ``modes``
+    on a cell of height L, as (value, j, pair) sorted by (value, j).
+
+    Each mode pencil is solved on the symmetry sectors of
+    ``operators.sectors`` (built here if None), each a pencil of the
+    projected operator set, in order, so mode 1's sector A1 comes first.
+    Every (mode, sector) pencil is solved only below the k-th merged value
+    so far, times 1 + 1e-8, and without a bound until k values are known;
+    the inertia counts of ``smallest_eigenpairs`` fix how many it gives
+    before any solve.  A sector that counts 0 is not solved for any later
+    mode: K grows with gamma by at least eps^2 M and the bound never
+    rises, so it has none below the bound there either.  The merge ends
+    when no sector is left.  A sector pair (value, v) lifts to the vector
+    P v of the whole mesh, and an E pair counts twice, its second copy
+    being the first turned by 90 degrees.  Each lifted pair's residual is
+    taken on the whole pencil: above ``tol`` it raises
+    EigenConvergenceError, even where the sector pencil passed.  A mesh
+    without the symmetry, or a k that fills a sector, is solved as one
+    sector with P = I, which is the whole pencil.
+    """
+    ops = CellOperators(mesh) if operators is None else operators
+    live = ops.sectors
+    if any(-(-k // sector.copies) >= sector_ops.shape[0] for sector, sector_ops in live):
+        live = [(whole_sector(ops.shape[0]), ops)]
+    merged = []
+    for j in modes:
+        gamma = (j * math.pi / L) ** 2
+        K, M = assemble_mode_pencil(mesh, eps, gamma, operators=ops)
+        # built anew, never pruned in place: ops.sectors is cached and
+        # serves every eps
+        solving, live = live, []
+        for sector, sector_ops in solving:
+            bound = merged[-1][0] * (1 + 1e-8) if len(merged) == k else None
+            K_s, M_s = assemble_mode_pencil(mesh, eps, gamma, operators=sector_ops)
+            pairs = smallest_eigenpairs(K_s, M_s, -(-k // sector.copies), tol=tol,
+                                        below=bound)
+            if pairs:
+                live.append((sector, sector_ops))
+            for pair in pairs:
+                vector = sector.basis @ pair.vector
+                copies = [vector] if sector.copies == 1 else [vector, vector[sector.rotation]]
+                merged += [(pair.value, j, residual_gate(K, M, pair.value, v, tol))
+                           for v in copies]
+            merged.sort(key=lambda entry: entry[:2])
+            del merged[k:]
+        if not live:
             break
-        merged += [MergedEigenvalue(value=pair.value, j=j, rank=rank, pair=pair)
-                   for rank, pair in enumerate(spec.pairs, start=1)]
-        merged.sort(key=lambda e: (e.value, e.j, e.rank))
-        del merged[k_total:]
     return merged
 
 
@@ -265,9 +257,15 @@ def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh):
     g = lam * u0_eval(lam, rule.fiber_rho, mesh.geometry.radius) + 1.0
     q_f, q_m = rule.fiber_weights, rule.matrix_weights
 
-    alpha = (q_f @ (w_f * g) + q_m @ w_m) / (q_f @ (w_f * w_f) + q_m @ (w_m * w_m))
-    err_f = math.sqrt(q_f @ (alpha * w_f - g) ** 2 / (q_f @ (g * g)))
-    err_m = math.sqrt(q_m @ (alpha * w_m - 1.0) ** 2 / q_m.sum())
+    def dot(a, b):
+        # numpy's pairwise sum, not BLAS ddot, which threads long vectors:
+        # the same bits at every BLAS thread count
+        return np.sum(a * b)
+
+    alpha = ((dot(q_f, w_f * g) + dot(q_m, w_m))
+             / (dot(q_f, w_f * w_f) + dot(q_m, w_m * w_m)))
+    err_f = math.sqrt(dot(q_f, (alpha * w_f - g) ** 2) / dot(q_f, g * g))
+    err_m = math.sqrt(dot(q_m, (alpha * w_m - 1.0) ** 2) / q_m.sum())
     return err_f, err_m
 
 

@@ -1,6 +1,5 @@
 import logging
 import math
-import platform
 import re
 
 import numpy as np
@@ -293,29 +292,37 @@ def test_bound_next_to_the_spectrum_retries_on_k(mesh16, monkeypatch, caplog):
         pair.value for pair in fc.smallest_eigenpairs(K, M, 11)]
 
 
-def test_heap_is_trimmed_between_a_pencils_factors(monkeypatch):
-    # the factor of K is dropped before the count factors K - sigma M, and
-    # the count before a projected round factors K again; a bound whose own
-    # factor serves the solve makes no second factor
-    if platform.libc_ver()[0] == "glibc":
-        assert eigensolve._MALLOC_TRIM is not None
+def test_a_pencil_releases_each_factor_before_the_next(monkeypatch):
+    # the factor of K is released before the count factors K - sigma M, and
+    # the count's before a projected round factors K again; a bound whose
+    # own factor serves the solve makes no second factor
     calls = []
     real_splu = eigensolve.splu
-    monkeypatch.setattr(eigensolve, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad)))
-    monkeypatch.setattr(eigensolve, "splu",
-                        lambda *a, **kw: calls.append("splu") or real_splu(*a, **kw))
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+            calls.append("splu")
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def __del__(self):
+            calls.append("free")
+
+    monkeypatch.setattr(eigensolve, "splu", lambda *a, **kw: Factor(real_splu(*a, **kw)))
     K = sp.diags(np.arange(1.0, 41.0)).tocsr()
     eye = sp.identity(40, format="csr")
     assert [p.value for p in fc.smallest_eigenpairs(K, eye, 3)] == pytest.approx([1, 2, 3])
-    assert calls == ["splu", ("trim", 0), "splu"]
+    assert calls == ["splu", "free", "splu", "free"]
     calls.clear()
     assert len(fc.smallest_eigenpairs(K, eye, 3, below=2.5)) == 2
-    assert calls == ["splu"]
+    assert calls == ["splu", "free"]
     calls.clear()
     double = sp.diags(np.r_[1.0, 1.0, np.arange(2.0, 40.0)]).tocsr()
     pairs = fc.smallest_eigenpairs(double, eye, 3)
     assert [p.value for p in pairs] == pytest.approx([1, 1, 2])
-    assert calls == ["splu", ("trim", 0), "splu", ("trim", 0), "splu"]
+    assert calls == ["splu", "free", "splu", "free", "splu", "free"]
 
 
 def test_dense_pencils_read_as_their_csr_copies():

@@ -55,12 +55,13 @@ def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
                    for rank, p in enumerate(
                        fc.mode_spectrum(mesh16, eps, j, 1.0, k_total).pairs, start=1)))
     solved = []
+    assemble = spectrum.assemble_mode_pencil
 
-    def recording(mesh, eps, j, *args, **kwargs):
-        solved.append(j)
-        return fc.mode_spectrum(mesh, eps, j, *args, **kwargs)
+    def recording(mesh, eps, gamma, **kwargs):
+        solved.append(round(math.sqrt(gamma) / math.pi))
+        return assemble(mesh, eps, gamma, **kwargs)
 
-    monkeypatch.setattr(spectrum, "mode_spectrum", recording)
+    monkeypatch.setattr(spectrum, "assemble_mode_pencil", recording)
     merged = fc.merged_spectrum(mesh16, eps, k_total)
     assert max(solved) <= k_total
     assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in full[:k_total]]
@@ -73,10 +74,12 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
     # bound; every pencil solved under a bound factors K - sigma M once, for
     # its inertia count at the bound, and that factor drives an ARPACK round
     # of exactly the count, or none when the count is 0; no factor of K is
-    # made under a bound; the mode whose every sector counts 0 ends the merge
+    # made under a bound; a sector that counts 0 is not solved again at that
+    # eps, and the merge ends, by mode k_total, when no sector is left
     work = []
     factorize_spd, symmetric_lu = eigensolve.factorize_spd, eigensolve._symmetric_lu
     eigsh, solve = eigensolve.eigsh, spectrum.smallest_eigenpairs
+    assemble = spectrum.assemble_mode_pencil
 
     def factor_spy(K):
         work.append("factor")
@@ -90,37 +93,44 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
         work.append(k)
         return eigsh(A, k, **kwargs)
 
-    modes, pencils = [], []
+    assembled, pencils = [], []
 
-    def recording(mesh, eps, j, L, k, **kwargs):
-        modes.append(j)
-        return fc.mode_spectrum(mesh, eps, j, L, k, **kwargs)
+    def assemble_spy(mesh, eps, gamma, operators):
+        assembled.append((round(math.sqrt(gamma) / math.pi), operators))
+        return assemble(mesh, eps, gamma, operators=operators)
 
     def solve_spy(K, M, k, tol, below):
         start = len(work)
         pairs = solve(K, M, k, tol=tol, below=below)
-        pencils.append((modes[-1], K, M, below, work[start:], len(pairs)))
+        pencils.append((*assembled[-1], K, M, below, work[start:], len(pairs)))
         return pairs
 
     monkeypatch.setattr(eigensolve, "factorize_spd", factor_spy)
     monkeypatch.setattr(eigensolve, "_symmetric_lu", lu_spy)
     monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
     monkeypatch.setattr(spectrum, "smallest_eigenpairs", solve_spy)
-    monkeypatch.setattr(spectrum, "mode_spectrum", recording)
-    merged = fc.merged_spectrum(mesh16, 0.2, 8)
-    assert modes == list(range(1, len(modes) + 1))
-    sectors = len(fc.CellOperators(mesh16).sectors)
-    assert sectors == 5 and len(pencils) == sectors * len(modes)
+    monkeypatch.setattr(spectrum, "assemble_mode_pencil", assemble_spy)
+    ops = fc.CellOperators(mesh16)
+    merged = fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
+    sectors = [sector_ops for _, sector_ops in ops.sectors]
+    assert len(sectors) == 5
+    modes = [j for j, *_ in pencils]
+    j_end = modes[-1]
+    assert modes == sorted(modes) and set(modes) == set(range(1, j_end + 1))
     first, *bounded = pencils
-    assert first[0] == 1 and first[3] is None and first[4][:3] == ["factor", "lu", 8]
-    for j, K, M, below, calls, found in bounded:
-        assert below is not None
+    assert first[:2] == (1, sectors[0]) and first[4] is None
+    assert first[5][:3] == ["factor", "lu", 8]
+    for j, sector_ops, K, M, below, calls, found in bounded:
+        assert below is not None and any(sector_ops is s for s in sectors)
         count = fc.inertia_count(K, M, below)
         assert found == count
         assert (calls == ["lu"]) if count == 0 else (calls[:2] == ["lu", count])
         assert calls.count("lu") == 1 and "factor" not in calls
-    j_end = modes[-1]
-    assert all(found == 0 for j, *_, found in pencils if j == j_end)
+    for i, (_, sector_ops, *_, found) in enumerate(pencils):
+        if found == 0:
+            assert all(later[1] is not sector_ops for later in pencils[i + 1:])
+    last = {id(sector_ops): found for _, sector_ops, *_, found in pencils}
+    assert len(last) == 5 and not any(last.values())
     assert j_end <= 8 and all(e.j < j_end for e in merged)
     assert any(found for j, *_, found in bounded if j == 1)
 

@@ -2,9 +2,12 @@
 
 The production path never assembles the 3D problem; it relies on the exact
 decoupling of separated fields w(y) sin(j pi x3 / L).  This script checks
-that decision against a Kronecker-assembled 3D tensor pencil (using the
-discrete 1D eigenvalues), and the ARPACK shift-invert solve certified by
-its inertia count against the dense LAPACK oracle.
+that decision against a Kronecker-assembled 3D tensor pencil:
+``discrete_mode_merge`` is the production merge (the D4 sectors, the lazy
+bounds and the shift-invert solves) run over the discrete 1D eigenvalues
+in place of (j pi / L)^2, and must equal the tensor spectrum.  It also
+checks the ARPACK shift-invert solve certified by its inertia count
+against the dense LAPACK oracle.
 """
 
 import time

@@ -50,8 +50,8 @@ def _element_geometry(mesh: TriMesh):
 
 
 def _check_weights(w_fiber: float, w_matrix: float) -> None:
-    if w_fiber <= 0 or w_matrix <= 0:
-        raise ValueError("material weights must be positive")
+    if not (0.0 < w_fiber < np.inf and 0.0 < w_matrix < np.inf):
+        raise ValueError("material weights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
     ----------
     eps : float in (0, 1]
         Contrast parameter.
-    gamma : float > 0
+    gamma : finite float > 0
         Vertical eigenvalue (j pi / L)^2 of the separated mode; gamma <= 0
         would lose positive definiteness under the natural lateral boundary.
     operators : CellOperators of ``mesh``, optional
@@ -242,8 +242,8 @@ def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (0.0 < gamma < np.inf):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     ops = CellOperators(mesh) if operators is None else operators
     K = ops._csr(ops.stiff_fiber + eps ** -2 * ops.stiff_matrix
                  + gamma * (eps ** 2 * ops.mass_fiber + ops.mass_matrix))

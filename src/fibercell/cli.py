@@ -121,8 +121,9 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
             failures.append(f"series/closed mismatch at lambda={lam:.6g}")
             break
 
-    # on a coarse mesh: Kronecker 3D oracle vs discrete mode merge, and the
-    # sector path of the merge vs a dense merge of the whole mode pencils
+    # on a coarse mesh: Kronecker 3D oracle vs the production merge over the
+    # discrete vertical eigenvalues, and the production merge vs a dense
+    # merge of the whole mode pencils
     coarse = generate_mesh(geometry, 12)
     for eps in (1.0, 0.2):
         failures += _disagreement(f"kron/merge at eps={eps}",

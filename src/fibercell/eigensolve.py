@@ -126,8 +126,9 @@ def dense_eigen_oracle(K, M, count: int = None):
     """Full spectrum of the pencil by dense Cholesky reduction plus the
     symmetric QR algorithm (LAPACK).  Brute-force reference for any pencil
     with at most ``DENSE_ORACLE_MAX_N`` unknowns.  With ``count``, only the
-    ``count`` smallest pairs are computed (LAPACK's subset solver).
-    Raises NotSPDError when the Cholesky factorization of M fails.
+    ``count`` smallest pairs are computed (LAPACK's subset solver); a
+    count < 1 is refused.  Raises NotSPDError when the Cholesky
+    factorization of M fails.
 
     Returns
     -------
@@ -137,6 +138,8 @@ def dense_eigen_oracle(K, M, count: int = None):
     n = K.shape[0]
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_MAX_N}, got {n}")
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     subset = None if count is None else [0, min(count, n) - 1]
     try:
         return scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=subset)

@@ -5,10 +5,10 @@ condition is Dirichlet, so separated fields w(y) sin(j pi x3 / L) decouple
 the 3D problem into one 2D pencil per vertical mode; the 3D spectrum is the
 sorted merge over modes.  On a mesh with the symmetries of the square each
 mode pencil is solved on its five D4 sectors, and on any other mesh whole,
-in one lazy merge over the (mode, sector) pencils; the oracles always
-solve whole pencils.  At the discrete level the same
-identity is exact with the Kronecker-assembled tensor pencil and the
-*discrete* vertical eigenvalues, which gives the validation oracle.  Convergence machinery
+in one lazy merge over the (mode, sector) pencils.  At the discrete level
+the same identity is exact with the Kronecker-assembled tensor pencil and
+the *discrete* vertical eigenvalues: that lazy merge run over them is
+judged by the whole tensor pencil, the validation oracle.  Convergence machinery
 pairs merged eigenvalues with limit roots by mode label and measures the
 bound slack, the limit gap and the eigenvector structure errors.
 """
@@ -107,8 +107,8 @@ def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
     here if None): ``_lazy_merge`` over this one mode."""
     if j < 1:
         raise ValueError("mode index j must be >= 1")
-    return ModeSpectrum(pairs=[pair for _, _, pair in
-                               _lazy_merge(mesh, eps, [j], L, k, tol, operators)])
+    merged = _lazy_merge(mesh, eps, {j: (j * math.pi / L) ** 2}, k, tol, operators)
+    return ModeSpectrum(pairs=[pair for _, _, pair in merged])
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
@@ -126,17 +126,19 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     """
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
-    merged = _lazy_merge(mesh, eps, range(1, k_total + 1), mesh.geometry.height,
-                         k_total, tol, operators)
+    L = mesh.geometry.height
+    gammas = {j: (j * math.pi / L) ** 2 for j in range(1, k_total + 1)}
+    merged = _lazy_merge(mesh, eps, gammas, k_total, tol, operators)
     modes = [j for _, j, _ in merged]
     return [MergedEigenvalue(value=value, j=j, rank=modes[:i].count(j) + 1, pair=pair)
             for i, (value, j, pair) in enumerate(merged)]
 
 
-def _lazy_merge(mesh: TriMesh, eps: float, modes, L: float, k: int, tol: float,
+def _lazy_merge(mesh: TriMesh, eps: float, gammas: dict, k: int, tol: float,
                 operators: CellOperators):
-    """The k smallest eigenpairs over the pencils of the vertical ``modes``
-    on a cell of height L, as (value, j, pair) sorted by (value, j).
+    """The k smallest eigenpairs over the mode pencils of the vertical
+    eigenvalues ``gammas``, a {label j: gamma_j} map in ascending order of
+    gamma_j, as (value, j, pair) sorted by (value, j).
 
     Each mode pencil is solved on the symmetry sectors of
     ``operators.sectors`` (built here if None), each a pencil of the
@@ -146,10 +148,11 @@ def _lazy_merge(mesh: TriMesh, eps: float, modes, L: float, k: int, tol: float,
     the inertia counts of ``smallest_eigenpairs`` fix how many it gives
     before any solve.  A sector that counts 0 is not solved for any later
     mode: K grows with gamma by at least eps^2 M and the bound never
-    rises, so it has none below the bound there either.  The merge ends
-    when no sector is left.  A sector pair (value, v) lifts to the vector
-    P v of the whole mesh, and an E pair counts twice, its second copy
-    being the first turned by 90 degrees.  Each lifted pair's residual is
+    rises, so it has none below the bound there either.  The drop is
+    exact only for ascending gammas.  The merge ends when no sector is
+    left.  A sector pair (value, v) lifts to the vector P v of the whole
+    mesh, and an E pair counts twice, its second copy being the first
+    turned by 90 degrees.  Each lifted pair's residual is
     taken on the whole pencil: above ``tol`` it raises
     EigenConvergenceError, even where the sector pencil passed.  A mesh
     without the symmetry, or a k that fills a sector, is solved as one
@@ -160,8 +163,7 @@ def _lazy_merge(mesh: TriMesh, eps: float, modes, L: float, k: int, tol: float,
     if any(-(-k // sector.copies) >= sector_ops.shape[0] for sector, sector_ops in live):
         live = [(whole_sector(ops.shape[0]), ops)]
     merged = []
-    for j in modes:
-        gamma = (j * math.pi / L) ** 2
+    for j, gamma in gammas.items():
         K, M = assemble_mode_pencil(mesh, eps, gamma, operators=ops)
         # built anew, never pruned in place: ops.sectors is cached and
         # serves every eps
@@ -192,11 +194,13 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarray:
 
     with the 2D factors from a CellOperators set built here and the 1D
     factors on n1d intervals of the height ``mesh.geometry.height``.  Dense
-    when the product size allows it, the ARPACK shift-invert solve of
-    ``smallest_eigenpairs`` otherwise.  Refuses a mesh with more vertices
-    than the n_div = 40 grid has, 41^2 + 40^2 = 3281, whether generated or
-    read, and n1d > 32.
+    LAPACK when the product size allows it, the ARPACK shift-invert solve
+    of ``smallest_eigenpairs`` otherwise.  Refuses eps outside (0, 1], a
+    mesh with more vertices than the n_div = 40 grid has, 41^2 + 40^2 =
+    3281, whether generated or read, and n1d > 32.
     """
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if len(mesh.vertices) > 41 ** 2 + 40 ** 2:
         raise ValueError("3D oracle is restricted to coarse meshes (n_div <= 40)")
     if n1d > 32:
@@ -206,32 +210,23 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarray:
     K3 = (sp.kron(operators.stiffness(1.0, eps ** -2), M1)
           + sp.kron(operators.mass(eps ** 2, 1.0), K1)).tocsr()
     M3 = sp.kron(operators.mass(1.0, 1.0), M1).tocsr()
-    return _smallest_values(K3, M3, k)
+    if K3.shape[0] <= DENSE_ORACLE_MAX_N:
+        return dense_eigen_oracle(K3, M3, count=k)[0]
+    return np.array([p.value for p in smallest_eigenpairs(K3, M3, k)])
 
 
 def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarray:
-    """Merge of 2D pencil spectra over the *discrete* vertical eigenvalues
-    of (K1, M1) on n1d intervals of the height ``mesh.geometry.height``;
-    equals the 3D tensor spectrum exactly in exact arithmetic.  Mode
-    pencils come from one CellOperators set built here."""
-    operators = CellOperators(mesh)
+    """The k smallest values of the production merge ``_lazy_merge`` run
+    over the *discrete* vertical eigenvalues gamma_i of (K1, M1) on n1d
+    intervals of the height ``mesh.geometry.height``, labelled i = 1, 2, ...
+    in ascending order; equals the 3D tensor spectrum exactly in exact
+    arithmetic.  It has the production contract: it refuses k >= the
+    vertex count, and raises EigenConvergenceError where a pair misses the
+    residual gate at tol 1e-9."""
     K1, M1 = assemble_1d(n1d, mesh.geometry.height)
-    gammas, _ = dense_eigen_oracle(K1, M1)
-    per_mode = min(k, len(mesh.vertices))
-    values = []
-    for gamma in gammas:
-        K, M = assemble_mode_pencil(mesh, eps, float(gamma), operators=operators)
-        values.extend(_smallest_values(K, M, per_mode))
-    values.sort()
-    return np.array(values[:k])
-
-
-def _smallest_values(K, M, k: int) -> np.ndarray:
-    """k smallest eigenvalues of the pencil: dense LAPACK when its size
-    allows it, the ARPACK shift-invert solve otherwise."""
-    if K.shape[0] <= DENSE_ORACLE_MAX_N:
-        return dense_eigen_oracle(K, M, count=k)[0]
-    return np.array([p.value for p in smallest_eigenpairs(K, M, k)])
+    gammas = dense_eigen_oracle(K1, M1)[0].tolist()
+    merged = _lazy_merge(mesh, eps, dict(enumerate(gammas, start=1)), k, 1e-9, None)
+    return np.array([value for value, _, _ in merged])
 
 
 def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh):

@@ -83,6 +83,10 @@ def test_mode_pencil_invalid_arguments(mesh16):
         fc.assemble_mode_pencil(mesh16, 0.1, 0.0)
     with pytest.raises(ValueError):
         fc.assemble_mode_pencil(mesh16, 1.5, 1.0)
+    # a non-finite gamma built a pencil with non-finite entries
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            fc.assemble_mode_pencil(mesh16, 0.5, gamma)
 
 
 def test_uniform_pencil_ground_state_is_gamma(mesh16):
@@ -175,6 +179,10 @@ def _fiber_on_the_circle(geometry):
 @pytest.mark.parametrize("call,match", [
     (lambda g: fc.CellOperators(_single_triangle_mesh(g)).stiffness(0.0, 1.0),
      "weights must be positive"),
+    (lambda g: fc.CellOperators(_single_triangle_mesh(g)).stiffness(math.nan, 1.0),
+     "weights must be positive and finite"),
+    (lambda g: fc.CellOperators(_single_triangle_mesh(g)).stiffness(math.inf, 1.0),
+     "weights must be positive and finite"),
     (lambda g: fc.assemble_dirichlet_disk(
         replace(_single_triangle_mesh(g), tags=np.array([MATRIX]))),
      "no fiber triangles"),

@@ -361,6 +361,8 @@ def _no_convergence(*args, **kwargs):
 
 @pytest.mark.parametrize("call,error,match", [
     (lambda: fc.factorize_spd(np.ones((2, 3))), ValueError, "must be square"),
+    (lambda: fc.dense_eigen_oracle(np.eye(3), np.eye(3), count=0), ValueError,
+     "count must be >= 1"),
     (lambda: fc.smallest_eigenpairs(sp.diags(np.arange(1.0, 41.0)).tocsr(),
                                     sp.identity(40, format="csr"), 3),
      EigenConvergenceError, "only 0 of 3 eigenpairs converged")])

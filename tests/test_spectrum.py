@@ -5,6 +5,7 @@ import pytest
 
 import fibercell as fc
 from fibercell import eigensolve, spectrum
+from fibercell.assembly import symmetry_sectors
 from fibercell.mesh import TriMesh
 
 
@@ -228,7 +229,8 @@ def test_operator_set_serves_every_pencil(mesh16):
 
 
 def test_discrete_merge_subset_matches_full_dense(mesh12):
-    # the subset solve keeps the per-mode values of the full dense spectrum
+    # the production merge over the discrete vertical eigenvalues keeps the
+    # values of the full dense spectrum of every discrete mode pencil
     K1, M1 = fc.assemble_1d(8, 1.0)
     gammas, _ = fc.dense_eigen_oracle(K1, M1)
     full = []
@@ -240,9 +242,15 @@ def test_discrete_merge_subset_matches_full_dense(mesh12):
 
 
 def test_kron_oracle_equals_discrete_merge(mesh12):
-    for eps in (1.0, 0.2):
-        v3 = fc.kron_3d_oracle(mesh12, 8, eps, 8)
-        vm = fc.discrete_mode_merge(mesh12, 8, eps, 8)
+    # the production merge against the unseparated pencil, also at high
+    # contrast and on an off-centre mesh, which has no D4 symmetry and so
+    # runs the one-sector path: the whole mode pencils
+    off_centre = fc.generate_mesh(fc.CellGeometry(center=(0.5, 0.500001)), 12)
+    assert [s.name for s in symmetry_sectors(off_centre)] == ["whole"]
+    for mesh, eps in ((mesh12, 1.0), (mesh12, 0.2), (mesh12, 0.05),
+                      (off_centre, 1.0), (off_centre, 0.2), (off_centre, 0.05)):
+        v3 = fc.kron_3d_oracle(mesh, 8, eps, 8)
+        vm = fc.discrete_mode_merge(mesh, 8, eps, 8)
         assert np.max(np.abs(v3 - vm) / np.abs(vm)) <= 1e-9
 
 
@@ -410,7 +418,18 @@ def test_report_files(tmp_path, geometry):
 
 @pytest.mark.parametrize("call,match", [
     (lambda mesh: fc.mode_spectrum(mesh, 0.2, 0, 1.0, 3), "mode index j must be >= 1"),
-    (lambda mesh: fc.merged_spectrum(mesh, 0.2, 0), "k_total must be >= 1")])
+    (lambda mesh: fc.merged_spectrum(mesh, 0.2, 0), "k_total must be >= 1"),
+    # a non-finite height gave a NaN gamma, seen as a singular factor
+    (lambda mesh: fc.mode_spectrum(mesh, 0.5, 1, math.nan, 2),
+     "gamma must be positive and finite"),
+    # eps = -0.2 gave the spectrum of eps = 0.2, eps = 0 a ZeroDivisionError
+    (lambda mesh: fc.kron_3d_oracle(mesh, 8, -0.2, 4), r"eps must lie in \(0, 1\]"),
+    (lambda mesh: fc.kron_3d_oracle(mesh, 8, 2.0, 4), r"eps must lie in \(0, 1\]"),
+    (lambda mesh: fc.kron_3d_oracle(mesh, 8, 0.0, 4), r"eps must lie in \(0, 1\]"),
+    # the discrete merge clamped k to the vertex count; it now has the
+    # production contract
+    (lambda mesh: fc.discrete_mode_merge(mesh, 8, 0.2, len(mesh.vertices)),
+     "must be smaller than the pencil size")])
 def test_refusals(mesh12, call, match):
     with pytest.raises(ValueError, match=match):
         call(mesh12)

@@ -38,6 +38,7 @@ for n_div in (16, 32, 64, 128):
 mesh = fc.generate_mesh(geometry, 64)
 print(f"\nn_div=64 mesh: {len(mesh.vertices)} vertices, "
       f"{len(mesh.triangles)} triangles, "
-      f"{len(mesh.interface_nodes)} nodes on the interface circle")
+      f"{len(mesh.interface_nodes)} interface nodes, shared by fiber and "
+      "matrix triangles")
 fc.write_mesh(mesh, "demo_mesh64.txt")
 print("wrote demo_mesh64.txt (header 'nv nt', vertices, 'i j k tag' rows)")

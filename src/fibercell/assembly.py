@@ -253,13 +253,24 @@ def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
 
 def assemble_dirichlet_disk(mesh: TriMesh):
     """Unit-weight stiffness/mass over the fiber triangles, restricted to
-    nodes strictly inside the disk (interface nodes carry the homogeneous
-    Dirichlet condition).
+    the fiber nodes that touch no matrix triangle, where ker K_M, the
+    kernel of the matrix stiffness, leaves a function free.  The
+    ``interface_nodes``, shared by fiber and matrix triangles, carry the
+    homogeneous Dirichlet condition, so the first eigenvalue of the pair
+    is mu1_h, the pole of delta_h, the mesh copy of delta.
 
     Returns
     -------
     (K_D, M_D, interior) where ``interior`` maps reduced indices to mesh
     vertex indices.
+
+    Raises
+    ------
+    ValueError
+        If the mesh has no fiber triangle, if no fiber triangle shares a
+        vertex with a matrix triangle (no node would carry the Dirichlet
+        condition, and K_D would be singular), or if every fiber vertex
+        lies on the interface.
     """
     fiber_tris = mesh.triangles[mesh.tags == FIBER]
     if len(fiber_tris) == 0:
@@ -268,6 +279,9 @@ def assemble_dirichlet_disk(mesh: TriMesh):
     on_interface = np.zeros(len(mesh.vertices), dtype=bool)
     on_interface[mesh.interface_nodes] = True
     interior = used[~on_interface[used]]
+    if len(interior) == len(used):
+        raise ValueError("no fiber/matrix interface: no fiber vertex touches a "
+                         "matrix triangle, so none carries the Dirichlet condition")
     if len(interior) == 0:
         raise ValueError("no interior disk nodes; mesh too coarse")
 

@@ -5,13 +5,15 @@ four triangles through its center.  Vertices near the circle are projected
 radially onto it in two passes: first every vertex within h/4 of it, then,
 by one array rule over the pass-1 positions, the end nearer the crossing of
 every edge the circle still crosses (the first such edge through a vertex
-wins).  So the fiber/matrix interface becomes a polygon whose vertices all
-lie on the circle.  Inscribed, inverted and low-angle triangles left by
-snapping are removed by deterministic edge flips: each sweep scores every
-triangle once (-1 if inscribed or inverted, else its minimum angle) and
-tries flips for those scoring below the floor one by one; the last sweep's
-areas and angles feed the quality gate.  The result is rejected unless
-every triangle keeps a positive area and a minimum angle above the floor.
+wins).  So the fiber/matrix interface becomes a polygon whose vertices
+lie on the circle on every tested mesh with h below the radius; on a
+coarser one a vertex of a fiber and a matrix triangle can stay off it.
+Inscribed, inverted and low-angle triangles left by snapping are removed
+by deterministic edge flips: each sweep scores every triangle once (-1 if
+inscribed or inverted, else its minimum angle) and tries flips for those
+scoring below the floor one by one; the last sweep's areas and angles
+feed the quality gate.  The result is rejected unless every triangle
+keeps a positive area and a minimum angle above the floor.
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ class TriMesh:
         FIBER (0) or MATRIX (1) per triangle.
     geometry : CellGeometry
     interface_nodes : int array (derived)
-        Vertex indices within 1e-12 * side of the circle
-        |p - center| = radius.
+        Indices of the vertices of both a fiber and a matrix triangle, read
+        from ``triangles`` and ``tags`` alone.  The other fiber vertices
+        touch no matrix triangle.
     areas() : (nt,) float array (derived)
         Signed triangle areas.
     midpoint_rule : MidpointRule (derived)
@@ -94,9 +97,11 @@ class TriMesh:
 
     @cached_property
     def interface_nodes(self) -> np.ndarray:
-        g = self.geometry
-        dist = _signed_distance(self.vertices, g.center, g.radius)
-        return np.flatnonzero(np.abs(dist) <= 1e-12 * g.side)
+        # row FIBER (0) marks the vertices of fiber triangles, row MATRIX (1)
+        # those of matrix triangles
+        touched = np.zeros((2, len(self.vertices)), dtype=bool)
+        touched[self.tags[:, None], self.triangles] = True
+        return np.flatnonzero(touched.all(axis=0))
 
     @cached_property
     def _areas(self) -> np.ndarray:

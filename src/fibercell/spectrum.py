@@ -265,7 +265,10 @@ def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh):
 
 
 def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
-    """First Dirichlet eigenvalue of the fitted disk on this mesh."""
+    """mu1_h, the first Dirichlet eigenvalue of the fitted disk on this
+    mesh and the pole of delta_h, the mesh copy of delta.  The disk
+    interior is the set of fiber nodes that touch no matrix triangle,
+    where ker K_M leaves a function free (``assemble_dirichlet_disk``)."""
     K_D, M_D, _ = assemble_dirichlet_disk(mesh)
     return smallest_eigenpairs(K_D, M_D, 1, tol=tol)[0].value
 

@@ -120,6 +120,26 @@ def test_dirichlet_disk_excludes_interface(mesh16):
     assert not set(interior) & set(mesh16.interface_nodes)
 
 
+def test_disk_interior_touches_no_matrix_triangle():
+    # the one measured mesh where two circle vertices touch only fiber
+    # triangles: a rule by distance to the circle pins them, the tag rule
+    # frees them, and on the larger trial space mu1_h is lower (min-max)
+    geometry = fc.CellGeometry(center=(0.5, 0.495))
+    mesh = fc.generate_mesh(geometry, 64)
+    K_D, M_D, interior = fc.assemble_dirichlet_disk(mesh)
+    used = np.unique(mesh.triangles[mesh.tags == FIBER])
+    dist = np.hypot(*(mesh.vertices[used] - geometry.center).T) - geometry.radius
+    by_distance = used[np.abs(dist) > 1e-12 * geometry.side]
+    assert set(by_distance) < set(interior)
+    assert len(interior) == len(by_distance) + 2
+    keep = np.isin(interior, by_distance)
+    pinned = fc.smallest_eigenpairs(K_D[keep][:, keep], M_D[keep][:, keep], 1)[0].value
+    assert pinned == pytest.approx(92.66552376, rel=1e-9)
+    mu1_h = fc.discrete_disk_mu1(mesh)
+    assert mu1_h == pytest.approx(92.59637967, rel=1e-9)
+    assert mu1_h < pinned
+
+
 def test_1d_matrices_and_eigenvalues():
     K1, M1 = fc.assemble_1d(64, 1.0)
     pairs = fc.smallest_eigenpairs(K1, M1, 2)
@@ -170,10 +190,20 @@ def test_non_finite_triangle_rejected(geometry):
 
 
 def _fiber_on_the_circle(geometry):
-    """One fiber triangle whose three vertices lie on the interface circle."""
+    """One fiber triangle whose three vertices lie on the circle, and no
+    matrix triangle."""
     return TriMesh(vertices=np.array([[0.75, 0.5], [0.5, 0.75], [0.25, 0.5]]),
                    triangles=np.array([[0, 1, 2]]),
                    tags=np.array([FIBER]), geometry=geometry)
+
+
+def _fiber_inside_the_matrix(geometry):
+    """That fiber triangle with a matrix triangle on each edge: all three
+    fiber vertices are interface nodes."""
+    return TriMesh(vertices=np.array([[0.75, 0.5], [0.5, 0.75], [0.25, 0.5],
+                                      [0.75, 0.75], [0.25, 0.75], [0.5, 0.25]]),
+                   triangles=np.array([[0, 1, 2], [1, 0, 3], [2, 1, 4], [0, 2, 5]]),
+                   tags=np.array([FIBER, MATRIX, MATRIX, MATRIX]), geometry=geometry)
 
 
 @pytest.mark.parametrize("call,match", [
@@ -187,6 +217,8 @@ def _fiber_on_the_circle(geometry):
         replace(_single_triangle_mesh(g), tags=np.array([MATRIX]))),
      "no fiber triangles"),
     (lambda g: fc.assemble_dirichlet_disk(_fiber_on_the_circle(g)),
+     "no fiber/matrix interface"),
+    (lambda g: fc.assemble_dirichlet_disk(_fiber_inside_the_matrix(g)),
      "no interior disk nodes")])
 def test_refusals(geometry, call, match):
     with pytest.raises(ValueError, match=match):

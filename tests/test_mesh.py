@@ -124,12 +124,25 @@ def test_tags_partition_and_total_area(geometry, mesh16):
     assert total == pytest.approx(geometry.side ** 2, rel=1e-12)
 
 
-def test_interface_nodes_on_circle(geometry, mesh64):
-    c = np.asarray(geometry.center)
-    pts = mesh64.vertices[mesh64.interface_nodes]
-    dist = np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1])
-    assert np.all(np.abs(dist - geometry.radius) <= 1e-12 * geometry.side)
-    assert len(mesh64.interface_nodes) > 0
+# every golden mesh with h = side / n_div below the radius; at (0.4, 0.55),
+# r 0.11, n_div 8 (h = 0.125) one vertex of a fiber and a matrix triangle
+# stays 0.0325 off the circle
+CONFORMING = [((0.5, 0.5), radius, n_div) for radius, n_div in sorted(GOLDEN_HASHES)] + [
+    (center, radius, n_div) for center, radius, n_div, expected in BRANCH_GOLDENS
+    if radius > 1.0 / n_div and len(expected) == 64]  # a hash, not an error text
+
+
+@pytest.mark.parametrize("center,radius,n_div", CONFORMING,
+                         ids=[f"{x},{y}-r{r}-n{n}" for (x, y), r, n in CONFORMING])
+def test_interface_nodes_on_circle(center, radius, n_div):
+    # the generator conforms: the interface nodes, which the tags alone
+    # name, lie on the circle
+    geometry = fc.CellGeometry(center=center, radius=radius)
+    mesh = fc.generate_mesh(geometry, n_div)
+    pts = mesh.vertices[mesh.interface_nodes]
+    dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+    assert len(pts) > 0
+    assert np.all(np.abs(dist - radius) <= 1e-12 * geometry.side)
 
 
 @pytest.mark.parametrize("n_div", [16, 32, 64])

@@ -267,21 +267,29 @@ def assemble_dirichlet_disk(mesh: TriMesh):
     Raises
     ------
     ValueError
-        If the mesh has no fiber triangle, if no fiber triangle shares a
-        vertex with a matrix triangle (no node would carry the Dirichlet
-        condition, and K_D would be singular), or if every fiber vertex
-        lies on the interface.
+        If the mesh has no fiber triangle, if a connected part of the
+        fiber triangles shares no vertex with a matrix triangle (no node of
+        that part would carry the Dirichlet condition, and K_D would be
+        singular), or if every fiber vertex lies on the interface.
     """
+    from scipy.sparse.csgraph import connected_components
+
     fiber_tris = mesh.triangles[mesh.tags == FIBER]
     if len(fiber_tris) == 0:
         raise ValueError("mesh has no fiber triangles")
     used = np.unique(fiber_tris)
-    on_interface = np.zeros(len(mesh.vertices), dtype=bool)
+    n = len(mesh.vertices)
+    on_interface = np.zeros(n, dtype=bool)
     on_interface[mesh.interface_nodes] = True
+    edges = sp.coo_matrix((np.ones(2 * len(fiber_tris)),
+                           (fiber_tris[:, :2].ravel(), fiber_tris[:, 1:].ravel())),
+                          shape=(n, n))
+    _, part = connected_components(edges, directed=False)
+    if not np.isin(part[used], part[on_interface]).all():
+        raise ValueError("no fiber/matrix interface on a part of the fiber: none "
+                         "of its vertices touches a matrix triangle, so none "
+                         "carries the Dirichlet condition")
     interior = used[~on_interface[used]]
-    if len(interior) == len(used):
-        raise ValueError("no fiber/matrix interface: no fiber vertex touches a "
-                         "matrix triangle, so none carries the Dirichlet condition")
     if len(interior) == 0:
         raise ValueError("no interior disk nodes; mesh too coarse")
 

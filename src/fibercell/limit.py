@@ -16,9 +16,14 @@ over the radially symmetric disk modes (the independent oracle):
 
 Nonradial disk modes integrate to zero over the disk, so they drop out of
 the series.  delta is a strictly increasing bijection of (0, mu_1) onto
-(0, inf); solving delta(lambda) = (j pi / L)^2 by bisection produces the
-limit eigenvalues, which accumulate at mu_1 and stay above
-mu_0 = phi^-1(lambda_0).
+(0, inf); solving delta(lambda) = (j pi / L)^2 produces the limit
+eigenvalues, which accumulate at mu_1 and stay above mu_0 = phi^-1(lambda_0).
+
+``delta`` and ``mean_u0_closed`` are elementwise: a float gives a float and
+an array an array.  So one array bisection (``_bisect``) solves for every j
+at once, one ``delta`` call per step on the roots still open, while each
+root keeps its own stop rule: every root gets the bits a bisection of it
+alone would give.  ``mu0_lower_bound`` goes through the same bisection.
 
 J0, J1 and the zeros of J0 come from ``scipy.special``, imported on the
 first Bessel evaluation: a cold start (import, config, DispersionParams)
@@ -143,20 +148,28 @@ def mean_u0_series(lam: float, params: DispersionParams):
     return value, tail
 
 
-def mean_u0_closed(lam: float, r: float) -> float:
-    """Closed radial form of S(lambda) = int_D u0.
+def mean_u0_closed(lam, r: float):
+    """Closed radial form of S(lambda) = int_D u0, elementwise: a float
+    lambda gives a float, an array an array of the same shape.
 
-    For lambda below ``_SMALL_LAMBDA`` the torsion expansion
-    pi r^4/8 + lambda pi r^6/48 avoids the 0/0 cancellation; the formula has
-    a pole at mu_1 where J0(sqrt(lambda) r) vanishes.
+    For lambda at or below ``_SMALL_LAMBDA`` the torsion expansion
+    pi r^4/8 + lambda pi r^6/48 avoids the 0/0 cancellation, and the Bessel
+    form is evaluated on the other entries only; the formula has a pole at
+    mu_1 where J0(sqrt(lambda) r) vanishes.
     """
+    lam = np.asarray(lam, dtype=float)
     _check_lambda(lam, (J01 / r) ** 2)
-    if lam <= _SMALL_LAMBDA:
-        return math.pi * r ** 4 / 8.0 + lam * math.pi * r ** 6 / 48.0
-    s = math.sqrt(lam)
-    j0 = bessel_j0(s * r)
-    return float((2.0 * math.pi * r * bessel_j1(s * r) / (s * j0)
-                  - math.pi * r * r) / lam)
+    out = np.empty_like(lam)
+    small = lam <= _SMALL_LAMBDA
+    if small.any():
+        out[small] = math.pi * r ** 4 / 8.0 + lam[small] * math.pi * r ** 6 / 48.0
+    big = ~small
+    if big.any():
+        lam_big = lam[big]
+        s = np.sqrt(lam_big)
+        out[big] = (2.0 * math.pi * r * bessel_j1(s * r) / (s * bessel_j0(s * r))
+                    - math.pi * r * r) / lam_big
+    return out if out.ndim else float(out)
 
 
 def u0_eval(lam: float, rho, r: float):
@@ -183,31 +196,45 @@ def u0_eval(lam: float, rho, r: float):
     return out if np.ndim(out) else float(out)
 
 
-def delta(lam: float, params: DispersionParams) -> float:
+def delta(lam, params: DispersionParams):
     """Dispersion function delta(lambda) = c_coef*lambda
     + cp_coef*lambda^2*S(lambda), strictly increasing on (0, mu1);
-    ``mean_u0_closed`` checks that lambda lies there."""
+    elementwise like ``mean_u0_closed``, which checks that every lambda
+    lies there."""
     s_val = mean_u0_closed(lam, params.geometry.radius)
     return params.c_coef * lam + params.cp_coef * lam * lam * s_val
 
 
-def _bisect(f, target: float, mu1: float, stop):
-    """Bisection for the increasing f = target on (0, mu1), a relative
-    margin off both ends: each step evaluates f once, at the midpoint of
-    [lo, hi], and returns (midpoint, hi - lo, value) once
-    ``stop(lo, hi, value)`` holds (or after 220 steps, long past 1 ulp)."""
-    lo = _INTERVAL_MARGIN * mu1
-    hi = mu1 * (1.0 - _INTERVAL_MARGIN)
+def _bisect(f, target, mu1: float, stop):
+    """One bisection for the increasing f = target[i] on (0, mu1), a
+    relative margin off both ends, over every target at once.
+
+    Each step makes one call of the elementwise f, on the midpoints of the
+    brackets [lo, hi] still open.  A target whose ``stop(lo, hi, value,
+    target)`` mask entry holds keeps (midpoint, hi - lo, value) of that
+    step; one still open after 220 steps (long past 1 ulp) keeps its last
+    midpoint and value.  So each target follows exactly the steps a
+    bisection of it alone would take.  Returns the three arrays.
+    """
+    target = np.asarray(target, dtype=float)
+    mid, width, value = (np.empty_like(target) for _ in range(3))
+    open_ = np.arange(target.size)
+    lo = np.full(target.size, _INTERVAL_MARGIN * mu1)
+    hi = np.full(target.size, mu1 * (1.0 - _INTERVAL_MARGIN))
     for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        value = f(mid)
-        if stop(lo, hi, value):
+        mid[open_] = m = 0.5 * (lo + hi)
+        value[open_] = v = f(m)
+        width[open_] = hi - lo
+        goal = target[open_]
+        keep = ~stop(lo, hi, v, goal)
+        below = v < goal
+        lo = np.where(below, m, lo)[keep]
+        hi = np.where(below, hi, m)[keep]
+        open_ = open_[keep]
+        if not open_.size:
             break
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    return mid, hi - lo, value
+    width[open_] = hi - lo
+    return mid, width, value
 
 
 def _check_floor(params: DispersionParams) -> None:
@@ -244,45 +271,47 @@ def mu0_lower_bound(params: DispersionParams) -> float:
 
     if phi(_INTERVAL_MARGIN * mu1) > params.lambda0:
         return _INTERVAL_MARGIN * mu1
-    return _bisect(phi, params.lambda0, mu1,
-                   lambda lo, hi, _: hi - lo <= 1e-12 * mu1)[0]
+    return float(_bisect(phi, [params.lambda0], mu1,
+                         lambda lo, hi, value, target: hi - lo <= 1e-12 * mu1)[0][0])
 
 
 def limit_eigenvalues(params: DispersionParams, j_max: int,
                       rel_tol: float = 1e-12) -> list[LimitRoot]:
     """Roots of delta(lambda) = (j pi / L)^2 for j = 1..j_max, ascending.
 
-    Bisection on (0, mu1) with a relative margin at both ends.  Once the
+    One array bisection (``_bisect``) over all j at once, on (0, mu1) with
+    a relative margin at both ends; each step evaluates ``delta`` once, on
+    the roots still open.  Each root keeps its own stop rule: once its
     bracket is below ``rel_tol`` it stops as soon as
     |delta(lam) - gamma_j| <= 1e-10 gamma_j, and otherwise keeps shrinking
     to a 4-ulp bracket, where it stops whether or not that residual holds:
     near the pole of delta at mu1 no double may meet it (132 of the 9000
     roots j <= 1000 on the radii 0.2496..0.2504 miss it).  The residual is
     not checked here; ``delta_check`` is delta at the accepted root, the
-    value of the last bisection step, and no lambda is evaluated twice.
+    value of its last bisection step, and no lambda is evaluated twice for
+    one root.  S at the roots comes from one ``mean_u0_closed`` call.
     Raises ``ValueError`` where ``_check_floor`` does.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     _check_floor(params)
-    roots = []
     L = params.geometry.height
     mu1 = params.mu1
-    for j in range(1, j_max + 1):
-        gamma_j = (j * math.pi / L) ** 2
+    # the scalar power: an array power differs by 1 ulp at j = 119, 238, 555
+    gammas = [(j * math.pi / L) ** 2 for j in range(1, j_max + 1)]
 
-        def stop(lo, hi, value):
-            return hi - lo <= rel_tol * mu1 and (
-                abs(value - gamma_j) <= 1e-10 * gamma_j
-                or hi - lo <= 4.0 * np.spacing(hi))
+    def stop(lo, hi, value, gamma):
+        return (hi - lo <= rel_tol * mu1) & (
+            (np.abs(value - gamma) <= 1e-10 * gamma)
+            | (hi - lo <= 4.0 * np.spacing(hi)))
 
-        lam, width, value = _bisect(lambda t: delta(t, params), gamma_j, mu1,
-                                    stop)
-        roots.append(LimitRoot(j=j, gamma_j=gamma_j, lam=float(lam),
-                               mean_u0=mean_u0_closed(lam, params.geometry.radius),
-                               bracket_width=float(width),
-                               delta_check=float(value)))
-    return roots
+    lam, width, value = _bisect(lambda t: delta(t, params), gammas, mu1, stop)
+    mean = mean_u0_closed(lam, params.geometry.radius)
+    return [LimitRoot(j=j, gamma_j=gamma_j, lam=root, mean_u0=s_val,
+                      bracket_width=w, delta_check=v)
+            for j, gamma_j, root, s_val, w, v in zip(
+                range(1, j_max + 1), gammas, lam.tolist(), mean.tolist(),
+                width.tolist(), value.tolist())]
 
 
 def write_roots_csv(roots, params: DispersionParams, path,
@@ -314,6 +343,10 @@ def write_roots_json(roots, params: DispersionParams, path,
     })
 
 
-def _check_lambda(lam: float, mu1: float) -> None:
-    if not (0.0 < lam < mu1):
-        raise ValueError(f"lambda must lie in (0, mu1={mu1:g}), got {lam:g}")
+def _check_lambda(lam, mu1: float) -> None:
+    """Raises ``ValueError`` unless every entry of lam lies in (0, mu1)."""
+    lam = np.asarray(lam, dtype=float)
+    outside = ~((0.0 < lam) & (lam < mu1))
+    if outside.any():
+        raise ValueError(f"lambda must lie in (0, mu1={mu1:g}), "
+                         f"got {lam[outside].flat[0]:g}")

@@ -206,6 +206,22 @@ def _fiber_inside_the_matrix(geometry):
                    tags=np.array([FIBER, MATRIX, MATRIX, MATRIX]), geometry=geometry)
 
 
+def _fiber_part_off_the_matrix(geometry):
+    """Two fiber parts: a pair of fiber triangles around the free vertex 0,
+    with matrix triangles on three of their vertices, and a fiber square
+    that touches no matrix triangle, whose K_D block is the singular
+    Neumann Laplacian."""
+    vertices = np.array([[0.5, 0.5], [0.6, 0.5], [0.5, 0.6], [0.4, 0.5],
+                         [0.6, 0.6], [0.4, 0.6], [0.7, 0.5],
+                         [0.1, 0.1], [0.2, 0.1], [0.2, 0.2], [0.1, 0.2]])
+    triangles = np.array([[0, 1, 2], [0, 2, 3],          # fiber, grounded
+                          [1, 4, 2], [2, 5, 3], [1, 6, 4],  # matrix
+                          [7, 8, 9], [7, 9, 10]])         # fiber, floating
+    tags = np.array([FIBER, FIBER, MATRIX, MATRIX, MATRIX, FIBER, FIBER])
+    return TriMesh(vertices=vertices, triangles=triangles, tags=tags,
+                   geometry=geometry)
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda g: fc.CellOperators(_single_triangle_mesh(g)).stiffness(0.0, 1.0),
      "weights must be positive"),
@@ -218,6 +234,8 @@ def _fiber_inside_the_matrix(geometry):
      "no fiber triangles"),
     (lambda g: fc.assemble_dirichlet_disk(_fiber_on_the_circle(g)),
      "no fiber/matrix interface"),
+    (lambda g: fc.assemble_dirichlet_disk(_fiber_part_off_the_matrix(g)),
+     "no fiber/matrix interface on a part of the fiber"),
     (lambda g: fc.assemble_dirichlet_disk(_fiber_inside_the_matrix(g)),
      "no interior disk nodes")])
 def test_refusals(geometry, call, match):

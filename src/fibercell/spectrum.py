@@ -15,6 +15,7 @@ bound slack, the limit gap and the eigenvector structure errors.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -30,6 +31,8 @@ from .eigensolve import (EigenPair, dense_eigen_oracle, residual_gate,
 from .geometry import CellGeometry
 from .limit import (DispersionParams, LimitRoot, limit_eigenvalues, u0_eval)
 from .mesh import TriMesh, generate_mesh
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -112,7 +115,8 @@ def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
-                    operators: CellOperators = None) -> list[MergedEigenvalue]:
+                    operators: CellOperators = None,
+                    mu1_h: float = None) -> list[MergedEigenvalue]:
     """The k_total smallest values of the per-mode spectra: ``_lazy_merge``
     over modes 1..k_total, with the cell height ``mesh.geometry.height``
     and ``operators`` built here if None, so the sector projections are
@@ -123,19 +127,30 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     eps^2 M, so each mode's smallest eigenvalue exceeds the previous
     mode's, and after mode k_total the k_total ground values seen so far
     bound the k-th merged value by mode k_total's own.
+
+    With ``mu1_h``, this mesh's discrete disk value (``discrete_disk_mu1``),
+    the merge runs under the ceiling (mu1_h + eps^2 gamma_k_total)(1 + 1e-8):
+    the disk vector vanishes on every matrix node, so its Rayleigh quotient
+    in mode j is mu1_h + eps^2 gamma_j and by min-max modes 1..k_total each
+    hold a value below the ceiling.  A wrong ``mu1_h`` that leaves fewer
+    than k_total values below it raises ValueError.
     """
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
+    if mu1_h is not None and not (0.0 < mu1_h < math.inf):
+        raise ValueError(f"mu1_h must be finite and positive, got {mu1_h}")
     L = mesh.geometry.height
     gammas = {j: (j * math.pi / L) ** 2 for j in range(1, k_total + 1)}
-    merged = _lazy_merge(mesh, eps, gammas, k_total, tol, operators)
+    ceiling = None if mu1_h is None else (
+        (mu1_h + eps ** 2 * gammas[k_total]) * (1 + 1e-8))
+    merged = _lazy_merge(mesh, eps, gammas, k_total, tol, operators, ceiling)
     modes = [j for _, j, _ in merged]
     return [MergedEigenvalue(value=value, j=j, rank=modes[:i].count(j) + 1, pair=pair)
             for i, (value, j, pair) in enumerate(merged)]
 
 
 def _lazy_merge(mesh: TriMesh, eps: float, gammas: dict, k: int, tol: float,
-                operators: CellOperators):
+                operators: CellOperators, ceiling: float = None):
     """The k smallest eigenpairs over the mode pencils of the vertical
     eigenvalues ``gammas``, a {label j: gamma_j} map in ascending order of
     gamma_j, as (value, j, pair) sorted by (value, j).
@@ -143,10 +158,14 @@ def _lazy_merge(mesh: TriMesh, eps: float, gammas: dict, k: int, tol: float,
     Each mode pencil is solved on the symmetry sectors of
     ``operators.sectors`` (built here if None), each a pencil of the
     projected operator set, in order, so mode 1's sector A1 comes first.
-    Every (mode, sector) pencil is solved only below the k-th merged value
-    so far, times 1 + 1e-8, and without a bound until k values are known;
-    the inertia counts of ``smallest_eigenpairs`` fix how many it gives
-    before any solve.  A sector that counts 0 is not solved for any later
+    Every (mode, sector) pencil is solved only below the bound
+    min(``ceiling``, k-th merged value so far times 1 + 1e-8): the ceiling
+    alone until k values are known, and no bound at all while the ceiling
+    is None too; the inertia counts of ``smallest_eigenpairs`` fix how
+    many it gives before any solve.  The ceiling is the caller's min-max
+    bound on the k-th value, so everything below it is found; when fewer
+    than k values lie below it, ValueError is raised, never a short list.
+    A sector that counts 0 is not solved for any later
     mode: K grows with gamma by at least eps^2 M and the bound never
     rises, so it has none below the bound there either.  The drop is
     exact only for ascending gammas.  The merge ends when no sector is
@@ -156,34 +175,46 @@ def _lazy_merge(mesh: TriMesh, eps: float, gammas: dict, k: int, tol: float,
     taken on the whole pencil: above ``tol`` it raises
     EigenConvergenceError, even where the sector pencil passed.  A mesh
     without the symmetry, or a k that fills a sector, is solved as one
-    sector with P = I, which is the whole pencil.
+    sector with P = I, which is the whole pencil.  One DEBUG log line per
+    call gives the ceiling, the pencils solved, the sectors dropped and
+    the lifted pairs returned against those kept.
     """
     ops = CellOperators(mesh) if operators is None else operators
     live = ops.sectors
     if any(-(-k // sector.copies) >= sector_ops.shape[0] for sector, sector_ops in live):
         live = [(whole_sector(ops.shape[0]), ops)]
-    merged = []
+    sectors = len(live)
+    top = math.inf if ceiling is None else ceiling
+    merged, solved, returned = [], 0, 0
     for j, gamma in gammas.items():
         K, M = assemble_mode_pencil(mesh, eps, gamma, operators=ops)
         # built anew, never pruned in place: ops.sectors is cached and
         # serves every eps
         solving, live = live, []
         for sector, sector_ops in solving:
-            bound = merged[-1][0] * (1 + 1e-8) if len(merged) == k else None
+            bound = min(top, merged[-1][0] * (1 + 1e-8)) if len(merged) == k else ceiling
             K_s, M_s = assemble_mode_pencil(mesh, eps, gamma, operators=sector_ops)
             pairs = smallest_eigenpairs(K_s, M_s, -(-k // sector.copies), tol=tol,
                                         below=bound)
+            solved += 1
             if pairs:
                 live.append((sector, sector_ops))
             for pair in pairs:
                 vector = sector.basis @ pair.vector
                 copies = [vector] if sector.copies == 1 else [vector, vector[sector.rotation]]
+                returned += len(copies)
                 merged += [(pair.value, j, residual_gate(K, M, pair.value, v, tol))
                            for v in copies]
             merged.sort(key=lambda entry: entry[:2])
             del merged[k:]
         if not live:
             break
+    logger.debug("merge eps=%g k=%d ceiling=%s: %d pencils solved, %d sectors "
+                 "dropped, %d pairs returned, %d kept", eps, k, ceiling, solved,
+                 sectors - len(live), returned, len(merged))
+    if len(merged) < k:
+        raise ValueError(f"the merge found {len(merged)} of {k} values below the "
+                         f"ceiling {ceiling:.10g}: it is no bound on the {k}-th value")
     return merged
 
 
@@ -286,7 +317,9 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
     The bound column is mu1 + eps^2 (k pi / L)^2 with the k-th *merged*
     rank, the slack subtracts lambda_eps, and c_h reports the same-mesh
     overestimate of mu1 so the h-effect can be separated from the
-    eps-effect.
+    eps-effect.  Each merge runs under the ceiling mu1_h + eps^2 gamma_k_total,
+    bound + c_h at k = k_total: the disk vector vanishes on the matrix, so
+    by min-max modes 1..k_total each hold a value below it.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -302,7 +335,8 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
 
     rows, reorderings = [], []
     for eps in eps_list:
-        merged = merged_spectrum(mesh, eps, k_total, tol=eig_tol, operators=operators)
+        merged = merged_spectrum(mesh, eps, k_total, tol=eig_tol, operators=operators,
+                                 mu1_h=mu1_h)
         for k, entry in enumerate(merged, start=1):
             lam0_k = (k * math.pi / L) ** 2
             bound = params.mu1 + eps ** 2 * lam0_k

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -164,6 +165,115 @@ def test_sector_merge_matches_dense_whole_pencils(mesh_name, eps, k_total, reque
         M = pencils[j][1]
         V = np.column_stack([e.pair.vector for e in merged if e.j == j])
         assert np.abs(V.T @ (M @ V) - np.eye(V.shape[1])).max() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def off_centre16():
+    # no D4 symmetry, so the merge runs the one-sector path
+    mesh = fc.generate_mesh(fc.CellGeometry(center=(0.5, 0.500001)), 16)
+    assert [s.name for s in symmetry_sectors(mesh)] == ["whole"]
+    return mesh
+
+
+@pytest.mark.parametrize("k_total", [3, 8, 12])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
+@pytest.mark.parametrize("mesh_name", ["mesh12", "mesh16", "off_centre16"])
+def test_ceiling_merge_matches_dense_whole_pencils(mesh_name, eps, k_total, request):
+    # the merge under the disk ceiling mu1_h + eps^2 gamma_k, as converge
+    # runs it, against a dense merge of the whole mode pencils
+    mesh = request.getfixturevalue(mesh_name)
+    pencils = {j: fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
+               for j in range(1, k_total + 1)}
+    dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
+                   for rank, value in enumerate(
+                       fc.dense_eigen_oracle(K, M, count=k_total)[0], start=1))[:k_total]
+    merged = fc.merged_spectrum(mesh, eps, k_total, tol=1e-9,
+                                mu1_h=fc.discrete_disk_mu1(mesh))
+    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in dense]
+    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in dense], rel=1e-10)
+    for e in merged:
+        K, M = pencils[e.j]
+        v = e.pair.vector
+        Kv = K @ v
+        assert e.pair.residual == np.linalg.norm(Kv - e.value * (M @ v)) / np.linalg.norm(Kv)
+        assert e.pair.residual <= 1e-9
+
+
+def test_ceiling_merge_solves_every_pencil_under_a_bound(mesh16, monkeypatch):
+    # with the disk ceiling every (mode, sector) pencil, mode 1's sector A1
+    # too, is solved below a bound: one factor of K - sigma M each, for its
+    # count and its ARPACK round, and no factor of K.  At eps 0.2 and k 8
+    # the solver returns 9 pairs to the merge under the ceiling, against
+    # 30 without it.
+    lus, factors, pencils = [], [], []
+    symmetric_lu, factorize_spd = eigensolve._symmetric_lu, eigensolve.factorize_spd
+    solve = spectrum.smallest_eigenpairs
+
+    def lu_spy(A, *args, **kwargs):
+        lus.append(A.shape)
+        return symmetric_lu(A, *args, **kwargs)
+
+    def factor_spy(K):
+        factors.append(K.shape)
+        return factorize_spd(K)
+
+    def solve_spy(K, M, k, tol, below):
+        start = len(lus)
+        pairs = solve(K, M, k, tol=tol, below=below)
+        pencils.append((below, len(lus) - start, len(pairs)))
+        return pairs
+
+    ops = fc.CellOperators(mesh16)
+    mu1_h = fc.discrete_disk_mu1(mesh16)
+    monkeypatch.setattr(eigensolve, "_symmetric_lu", lu_spy)
+    monkeypatch.setattr(eigensolve, "factorize_spd", factor_spy)
+    monkeypatch.setattr(spectrum, "smallest_eigenpairs", solve_spy)
+    merged = fc.merged_spectrum(mesh16, 0.2, 8, operators=ops, mu1_h=mu1_h)
+    assert len(merged) == 8
+    ceiling = (mu1_h + 0.04 * (8 * math.pi) ** 2) * (1 + 1e-8)
+    assert pencils[0][0] == ceiling
+    assert all(below is not None and below <= ceiling for below, _, _ in pencils)
+    assert all(lu == 1 for _, lu, _ in pencils)
+    assert factors == []
+    with_ceiling = sum(found for *_, found in pencils)
+    pencils.clear()
+    fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
+    without = sum(found for *_, found in pencils)
+    assert with_ceiling < without
+    assert (with_ceiling, without) == (9, 30)
+
+
+def test_ceiling_below_the_kth_value_raises(mesh16):
+    # half the disk value puts the ceiling under the 8th value: the merge
+    # finds fewer than 8 values below it and refuses to return them
+    mu1_h = fc.discrete_disk_mu1(mesh16)
+    with pytest.raises(ValueError, match="of 8 values below the ceiling"):
+        fc.merged_spectrum(mesh16, 0.2, 8, mu1_h=0.5 * mu1_h)
+
+
+@pytest.mark.parametrize("mu1_h", [0.0, -1.0, math.nan, math.inf])
+def test_mu1_h_must_be_finite_and_positive(mesh12, mu1_h, monkeypatch):
+    # refused before any pencil is assembled
+    monkeypatch.setattr(spectrum, "assemble_mode_pencil", None)
+    with pytest.raises(ValueError, match="mu1_h must be finite and positive"):
+        fc.merged_spectrum(mesh12, 0.2, 3, mu1_h=mu1_h)
+
+
+def test_merge_logs_its_work(mesh16, caplog):
+    # one DEBUG line per merge: the ceiling, the pencils solved, the sectors
+    # dropped and the lifted pairs returned against those kept
+    mu1_h = fc.discrete_disk_mu1(mesh16)
+    ops = fc.CellOperators(mesh16)
+    with caplog.at_level(logging.DEBUG, logger="fibercell.spectrum"):
+        fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
+        fc.merged_spectrum(mesh16, 0.2, 8, operators=ops, mu1_h=mu1_h)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fibercell.spectrum"]
+    ceiling = (mu1_h + 0.04 * (8 * math.pi) ** 2) * (1 + 1e-8)
+    assert lines == [
+        "merge eps=0.2 k=8 ceiling=None: 17 pencils solved, 5 sectors dropped, "
+        "35 pairs returned, 8 kept",
+        f"merge eps=0.2 k=8 ceiling={ceiling}: 12 pencils solved, 5 sectors "
+        "dropped, 9 pairs returned, 8 kept"]
 
 
 def test_e_copies_are_m_orthogonal_turns(mesh16):

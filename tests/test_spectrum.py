@@ -230,7 +230,7 @@ def test_ceiling_merge_solves_every_pencil_under_a_bound(mesh16, monkeypatch):
     monkeypatch.setattr(spectrum, "smallest_eigenpairs", solve_spy)
     merged = fc.merged_spectrum(mesh16, 0.2, 8, operators=ops, mu1_h=mu1_h)
     assert len(merged) == 8
-    ceiling = (mu1_h + 0.04 * (8 * math.pi) ** 2) * (1 + 1e-8)
+    ceiling = (mu1_h + 0.2 ** 2 * (8 * math.pi) ** 2) * (1 + 1e-8)
     assert pencils[0][0] == ceiling
     assert all(below is not None and below <= ceiling for below, _, _ in pencils)
     assert all(lu == 1 for _, lu, _ in pencils)
@@ -268,7 +268,7 @@ def test_merge_logs_its_work(mesh16, caplog):
         fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
         fc.merged_spectrum(mesh16, 0.2, 8, operators=ops, mu1_h=mu1_h)
     lines = [r.getMessage() for r in caplog.records if r.name == "fibercell.spectrum"]
-    ceiling = (mu1_h + 0.04 * (8 * math.pi) ** 2) * (1 + 1e-8)
+    ceiling = (mu1_h + 0.2 ** 2 * (8 * math.pi) ** 2) * (1 + 1e-8)
     assert lines == [
         "merge eps=0.2 k=8 ceiling=None: 17 pencils solved, 5 sectors dropped, "
         "35 pairs returned, 8 kept",

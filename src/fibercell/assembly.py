@@ -126,12 +126,14 @@ class CellOperators:
     The production path (``convergence_sweep``) builds one set per mesh
     and passes it to every pencil of that mesh; the oracles build their
     own.  ``mesh`` is the mesh the set was built from, and None for a set
-    made by ``project``.
+    made by ``project``.  ``disk_mu1`` maps an eigensolver tol to the
+    mesh's discrete disk value, filled by the merge that needs it.
     """
 
     def __init__(self, mesh: TriMesh):
         areas, b, c = _element_geometry(mesh)
         self.mesh = mesh
+        self.disk_mu1 = {}
         tri = mesh.triangles
         n = len(mesh.vertices)
         slot = self._pattern(np.repeat(tri, 3, axis=1).ravel() * n

@@ -22,8 +22,8 @@ from .eigensolve import dense_eigen_oracle, smallest_eigenpairs
 from .limit import (DispersionParams, limit_eigenvalues, mean_u0_closed,
                     mean_u0_series, write_roots_csv, write_roots_json)
 from .mesh import generate_mesh, write_mesh
-from .spectrum import (convergence_sweep, discrete_disk_mu1, discrete_mode_merge,
-                       kron_3d_oracle, merged_spectrum)
+from .spectrum import (convergence_sweep, discrete_mode_merge, kron_3d_oracle,
+                       merged_spectrum)
 
 COMMANDS = ("mesh", "limit-spectrum", "eps-spectrum", "converge", "validate")
 
@@ -84,8 +84,7 @@ def run_command(name: str, config: RunConfig, threads: int = 1) -> int:
     if name == "eps-spectrum":
         mesh = generate_mesh(geometry, config.n_div)
         merged = merged_spectrum(mesh, config.eps_list[0], config.k_total,
-                                 tol=config.eig_tol,
-                                 mu1_h=discrete_disk_mu1(mesh, tol=config.eig_tol))
+                                 tol=config.eig_tol)
         write_table(os.path.join(out, "eps_spectrum.csv"),
                     ("k", "j", "rank", "lambda_eps", "residual"),
                     ((k, entry.j, entry.rank, entry.value, entry.pair.residual)
@@ -126,7 +125,6 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
     # merge under the disk ceiling, as ``converge`` runs it, vs a dense
     # merge of the whole mode pencils
     coarse = generate_mesh(geometry, 12)
-    mu1_h = discrete_disk_mu1(coarse, tol=config.eig_tol)
     for eps in (1.0, 0.2):
         failures += _disagreement(f"kron/merge at eps={eps}",
                                   kron_3d_oracle(coarse, 8, eps, 8),
@@ -136,8 +134,7 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
             count=8)[0])
         failures += _disagreement(f"sector/whole at eps={eps}",
                                   [e.value for e in merged_spectrum(
-                                      coarse, eps, 8, tol=config.eig_tol,
-                                      mu1_h=mu1_h)],
+                                      coarse, eps, 8, tol=config.eig_tol)],
                                   whole[:8])
 
     # ARPACK shift-invert certified by an inertia count vs dense on a coarse

@@ -115,8 +115,7 @@ def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
-                    operators: CellOperators = None,
-                    mu1_h: float = None) -> list[MergedEigenvalue]:
+                    operators: CellOperators = None) -> list[MergedEigenvalue]:
     """The k_total smallest values of the per-mode spectra: ``_lazy_merge``
     over modes 1..k_total, with the cell height ``mesh.geometry.height``
     and ``operators`` built here if None, so the sector projections are
@@ -128,22 +127,20 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     mode's, and after mode k_total the k_total ground values seen so far
     bound the k-th merged value by mode k_total's own.
 
-    With ``mu1_h``, this mesh's discrete disk value (``discrete_disk_mu1``),
-    the merge runs under the ceiling (mu1_h + eps^2 gamma_k_total)(1 + 1e-8):
-    the disk vector vanishes on every matrix node, so its Rayleigh quotient
-    in mode j is mu1_h + eps^2 gamma_j and by min-max modes 1..k_total each
-    hold a value below the ceiling.  A wrong ``mu1_h`` that leaves fewer
-    than k_total values below it raises ValueError.
+    The merge runs under the ceiling (mu1_h + eps^2 gamma_k_total)(1 + 1e-8),
+    with mu1_h this mesh's disk value (``discrete_disk_mu1``), solved once
+    per operator set and tol: the disk vector vanishes on every matrix
+    node, so its Rayleigh quotient in mode j is mu1_h + eps^2 gamma_j and
+    by min-max modes 1..k_total each hold a value below the ceiling.  A
+    mesh that ``assemble_dirichlet_disk`` refuses is refused here too.
     """
     if k_total < 1:
         raise ValueError("k_total must be >= 1")
-    if mu1_h is not None and not (0.0 < mu1_h < math.inf):
-        raise ValueError(f"mu1_h must be finite and positive, got {mu1_h}")
+    ops = CellOperators(mesh) if operators is None else operators
     L = mesh.geometry.height
     gammas = {j: (j * math.pi / L) ** 2 for j in range(1, k_total + 1)}
-    ceiling = None if mu1_h is None else (
-        (mu1_h + eps ** 2 * gammas[k_total]) * (1 + 1e-8))
-    merged = _lazy_merge(mesh, eps, gammas, k_total, tol, operators, ceiling)
+    ceiling = (_disk_mu1(ops, tol) + eps ** 2 * gammas[k_total]) * (1 + 1e-8)
+    merged = _lazy_merge(mesh, eps, gammas, k_total, tol, ops, ceiling)
     modes = [j for _, j, _ in merged]
     return [MergedEigenvalue(value=value, j=j, rank=modes[:i].count(j) + 1, pair=pair)
             for i, (value, j, pair) in enumerate(merged)]
@@ -304,6 +301,14 @@ def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
     return smallest_eigenpairs(K_D, M_D, 1, tol=tol)[0].value
 
 
+def _disk_mu1(operators: CellOperators, tol: float) -> float:
+    """``discrete_disk_mu1`` of the operator set's mesh at ``tol``, kept in
+    ``operators.disk_mu1`` so the eps of one sweep share one solve."""
+    if tol not in operators.disk_mu1:
+        operators.disk_mu1[tol] = discrete_disk_mu1(operators.mesh, tol=tol)
+    return operators.disk_mu1[tol]
+
+
 def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int,
                       eig_tol: float = 1e-9,
                       root_tol: float = 1e-12) -> ConvergenceReport:
@@ -318,8 +323,9 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
     rank, the slack subtracts lambda_eps, and c_h reports the same-mesh
     overestimate of mu1 so the h-effect can be separated from the
     eps-effect.  Each merge runs under the ceiling mu1_h + eps^2 gamma_k_total,
-    bound + c_h at k = k_total: the disk vector vanishes on the matrix, so
-    by min-max modes 1..k_total each hold a value below it.
+    bound + c_h at k = k_total, from the one disk solve that gives c_h: the
+    disk vector vanishes on the matrix, so by min-max modes 1..k_total
+    each hold a value below it.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -328,15 +334,14 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
     params = DispersionParams(geometry=geometry)
     roots = {root.j: root for root in limit_eigenvalues(params, k_total,
                                                         rel_tol=root_tol)}
-    mu1_h = discrete_disk_mu1(mesh, tol=eig_tol)
+    operators = CellOperators(mesh)
+    mu1_h = _disk_mu1(operators, eig_tol)
     c_h = mu1_h - params.mu1
     L = geometry.height
-    operators = CellOperators(mesh)
 
     rows, reorderings = [], []
     for eps in eps_list:
-        merged = merged_spectrum(mesh, eps, k_total, tol=eig_tol, operators=operators,
-                                 mu1_h=mu1_h)
+        merged = merged_spectrum(mesh, eps, k_total, tol=eig_tol, operators=operators)
         for k, entry in enumerate(merged, start=1):
             lam0_k = (k * math.pi / L) ** 2
             bound = params.mu1 + eps ** 2 * lam0_k

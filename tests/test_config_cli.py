@@ -281,25 +281,6 @@ def test_cli_validate_checks_the_sector_merge(tmp_path, monkeypatch):
         "sector/whole at eps=1.0", "sector/whole at eps=0.2"]
 
 
-def test_cli_merges_run_under_the_disk_ceiling(tmp_path, monkeypatch):
-    # eps-spectrum and validate's sector/whole check pass the mesh's disk
-    # value, so they run the merge path converge runs
-    calls = []
-    merge = cli.merged_spectrum
-
-    def spy(mesh, *args, **kwargs):
-        calls.append((len(mesh.vertices), kwargs.get("mu1_h")))
-        return merge(mesh, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "merged_spectrum", spy)
-    for command in ("eps-spectrum", "validate"):
-        assert main([command, "--config", _fast_config(tmp_path),
-                     "--out", str(tmp_path / command)]) == 0
-    mu1_h = {len(mesh.vertices): fc.discrete_disk_mu1(mesh) for mesh in (
-        fc.generate_mesh(fc.CellGeometry(), n_div) for n_div in (16, 12))}
-    assert calls == [(545, mu1_h[545]), (313, mu1_h[313]), (313, mu1_h[313])]
-
-
 def test_cli_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

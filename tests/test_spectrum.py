@@ -72,12 +72,13 @@ def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
 
 
 def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
-    # per (mode, sector) pencil: mode 1's first sector solves without a
-    # bound; every pencil solved under a bound factors K - sigma M once, for
-    # its inertia count at the bound, and that factor drives an ARPACK round
-    # of exactly the count, or none when the count is 0; no factor of K is
-    # made under a bound; a sector that counts 0 is not solved again at that
-    # eps, and the merge ends, by mode k_total, when no sector is left
+    # per (mode, sector) pencil: mode 1's first sector solves below the disk
+    # ceiling, every later one below min(ceiling, k-th value so far); each
+    # factors K - sigma M once, for its inertia count at the bound, and that
+    # factor drives an ARPACK round of exactly the count, or none when the
+    # count is 0; no factor of K is made; a sector that counts 0 is not
+    # solved again at that eps, and the merge ends, by mode k_total, when no
+    # sector is left
     work = []
     factorize_spd, symmetric_lu = eigensolve.factorize_spd, eigensolve._symmetric_lu
     eigsh, solve = eigensolve.eigsh, spectrum.smallest_eigenpairs
@@ -107,23 +108,25 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
         pencils.append((*assembled[-1], K, M, below, work[start:], len(pairs)))
         return pairs
 
+    ops = fc.CellOperators(mesh16)
+    # the disk solve is not a mode pencil: it runs before the spies
+    mu1_h = spectrum._disk_mu1(ops, 1e-9)
+    ceiling = (mu1_h + 0.2 ** 2 * (8 * math.pi) ** 2) * (1 + 1e-8)
     monkeypatch.setattr(eigensolve, "factorize_spd", factor_spy)
     monkeypatch.setattr(eigensolve, "_symmetric_lu", lu_spy)
     monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
     monkeypatch.setattr(spectrum, "smallest_eigenpairs", solve_spy)
     monkeypatch.setattr(spectrum, "assemble_mode_pencil", assemble_spy)
-    ops = fc.CellOperators(mesh16)
     merged = fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
+    assert len(merged) == 8
     sectors = [sector_ops for _, sector_ops in ops.sectors]
     assert len(sectors) == 5
     modes = [j for j, *_ in pencils]
     j_end = modes[-1]
     assert modes == sorted(modes) and set(modes) == set(range(1, j_end + 1))
-    first, *bounded = pencils
-    assert first[:2] == (1, sectors[0]) and first[4] is None
-    assert first[5][:3] == ["factor", "lu", 8]
-    for j, sector_ops, K, M, below, calls, found in bounded:
-        assert below is not None and any(sector_ops is s for s in sectors)
+    assert pencils[0][:2] == (1, sectors[0]) and pencils[0][4] == ceiling
+    for j, sector_ops, K, M, below, calls, found in pencils:
+        assert below <= ceiling and any(sector_ops is s for s in sectors)
         count = fc.inertia_count(K, M, below)
         assert found == count
         assert (calls == ["lu"]) if count == 0 else (calls[:2] == ["lu", count])
@@ -134,7 +137,7 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
     last = {id(sector_ops): found for _, sector_ops, *_, found in pencils}
     assert len(last) == 5 and not any(last.values())
     assert j_end <= 8 and all(e.j < j_end for e in merged)
-    assert any(found for j, *_, found in bounded if j == 1)
+    assert any(found for j, *_, found in pencils if j == 1)
 
 
 @pytest.mark.parametrize("k_total", [3, 8, 12])
@@ -167,113 +170,73 @@ def test_sector_merge_matches_dense_whole_pencils(mesh_name, eps, k_total, reque
         assert np.abs(V.T @ (M @ V) - np.eye(V.shape[1])).max() <= 1e-10
 
 
-@pytest.fixture(scope="module")
-def off_centre16():
-    # no D4 symmetry, so the merge runs the one-sector path
+def test_off_centre_merge_matches_dense_whole_pencils():
+    # no D4 symmetry, so the merge runs the one-sector path under the disk
+    # ceiling, against a dense merge of the whole mode pencils
     mesh = fc.generate_mesh(fc.CellGeometry(center=(0.5, 0.500001)), 16)
     assert [s.name for s in symmetry_sectors(mesh)] == ["whole"]
-    return mesh
+    for eps in (1.0, 0.2, 0.05):
+        for k_total in (3, 8, 12):
+            pencils = {j: fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
+                       for j in range(1, k_total + 1)}
+            dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
+                           for rank, value in enumerate(
+                               fc.dense_eigen_oracle(K, M, count=k_total)[0],
+                               start=1))[:k_total]
+            merged = fc.merged_spectrum(mesh, eps, k_total, tol=1e-9)
+            assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in dense]
+            assert [e.value for e in merged] == pytest.approx(
+                [v for v, _, _ in dense], rel=1e-10)
+            for e in merged:
+                K, M = pencils[e.j]
+                Kv = K @ e.pair.vector
+                residual = np.linalg.norm(Kv - e.value * (M @ e.pair.vector))
+                assert e.pair.residual == residual / np.linalg.norm(Kv) <= 1e-9
 
 
-@pytest.mark.parametrize("k_total", [3, 8, 12])
-@pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
-@pytest.mark.parametrize("mesh_name", ["mesh12", "mesh16", "off_centre16"])
-def test_ceiling_merge_matches_dense_whole_pencils(mesh_name, eps, k_total, request):
-    # the merge under the disk ceiling mu1_h + eps^2 gamma_k, as converge
-    # runs it, against a dense merge of the whole mode pencils
-    mesh = request.getfixturevalue(mesh_name)
-    pencils = {j: fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
-               for j in range(1, k_total + 1)}
-    dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
-                   for rank, value in enumerate(
-                       fc.dense_eigen_oracle(K, M, count=k_total)[0], start=1))[:k_total]
-    merged = fc.merged_spectrum(mesh, eps, k_total, tol=1e-9,
-                                mu1_h=fc.discrete_disk_mu1(mesh))
-    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in dense]
-    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in dense], rel=1e-10)
-    for e in merged:
-        K, M = pencils[e.j]
-        v = e.pair.vector
-        Kv = K @ v
-        assert e.pair.residual == np.linalg.norm(Kv - e.value * (M @ v)) / np.linalg.norm(Kv)
-        assert e.pair.residual <= 1e-9
-
-
-def test_ceiling_merge_solves_every_pencil_under_a_bound(mesh16, monkeypatch):
-    # with the disk ceiling every (mode, sector) pencil, mode 1's sector A1
-    # too, is solved below a bound: one factor of K - sigma M each, for its
-    # count and its ARPACK round, and no factor of K.  At eps 0.2 and k 8
-    # the solver returns 9 pairs to the merge under the ceiling, against
-    # 30 without it.
-    lus, factors, pencils = [], [], []
-    symmetric_lu, factorize_spd = eigensolve._symmetric_lu, eigensolve.factorize_spd
-    solve = spectrum.smallest_eigenpairs
-
-    def lu_spy(A, *args, **kwargs):
-        lus.append(A.shape)
-        return symmetric_lu(A, *args, **kwargs)
-
-    def factor_spy(K):
-        factors.append(K.shape)
-        return factorize_spd(K)
-
-    def solve_spy(K, M, k, tol, below):
-        start = len(lus)
-        pairs = solve(K, M, k, tol=tol, below=below)
-        pencils.append((below, len(lus) - start, len(pairs)))
-        return pairs
-
-    ops = fc.CellOperators(mesh16)
-    mu1_h = fc.discrete_disk_mu1(mesh16)
-    monkeypatch.setattr(eigensolve, "_symmetric_lu", lu_spy)
-    monkeypatch.setattr(eigensolve, "factorize_spd", factor_spy)
-    monkeypatch.setattr(spectrum, "smallest_eigenpairs", solve_spy)
-    merged = fc.merged_spectrum(mesh16, 0.2, 8, operators=ops, mu1_h=mu1_h)
-    assert len(merged) == 8
-    ceiling = (mu1_h + 0.2 ** 2 * (8 * math.pi) ** 2) * (1 + 1e-8)
-    assert pencils[0][0] == ceiling
-    assert all(below is not None and below <= ceiling for below, _, _ in pencils)
-    assert all(lu == 1 for _, lu, _ in pencils)
-    assert factors == []
-    with_ceiling = sum(found for *_, found in pencils)
-    pencils.clear()
-    fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
-    without = sum(found for *_, found in pencils)
-    assert with_ceiling < without
-    assert (with_ceiling, without) == (9, 30)
-
-
-def test_ceiling_below_the_kth_value_raises(mesh16):
+def test_ceiling_below_the_kth_value_raises(mesh16, monkeypatch):
     # half the disk value puts the ceiling under the 8th value: the merge
     # finds fewer than 8 values below it and refuses to return them
-    mu1_h = fc.discrete_disk_mu1(mesh16)
+    disk = spectrum.discrete_disk_mu1
+    monkeypatch.setattr(spectrum, "discrete_disk_mu1",
+                        lambda mesh, tol: 0.5 * disk(mesh, tol=tol))
     with pytest.raises(ValueError, match="of 8 values below the ceiling"):
-        fc.merged_spectrum(mesh16, 0.2, 8, mu1_h=0.5 * mu1_h)
-
-
-@pytest.mark.parametrize("mu1_h", [0.0, -1.0, math.nan, math.inf])
-def test_mu1_h_must_be_finite_and_positive(mesh12, mu1_h, monkeypatch):
-    # refused before any pencil is assembled
-    monkeypatch.setattr(spectrum, "assemble_mode_pencil", None)
-    with pytest.raises(ValueError, match="mu1_h must be finite and positive"):
-        fc.merged_spectrum(mesh12, 0.2, 3, mu1_h=mu1_h)
+        fc.merged_spectrum(mesh16, 0.2, 8)
 
 
 def test_merge_logs_its_work(mesh16, caplog):
     # one DEBUG line per merge: the ceiling, the pencils solved, the sectors
-    # dropped and the lifted pairs returned against those kept
-    mu1_h = fc.discrete_disk_mu1(mesh16)
+    # dropped and the lifted pairs returned against those kept.  At eps 0.2
+    # and k 8 the disk ceiling cuts the pairs returned from 35, the same
+    # merge without a bound, to 9
     ops = fc.CellOperators(mesh16)
+    gammas = {j: (j * math.pi) ** 2 for j in range(1, 9)}
     with caplog.at_level(logging.DEBUG, logger="fibercell.spectrum"):
+        spectrum._lazy_merge(mesh16, 0.2, gammas, 8, 1e-9, ops)
         fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
-        fc.merged_spectrum(mesh16, 0.2, 8, operators=ops, mu1_h=mu1_h)
     lines = [r.getMessage() for r in caplog.records if r.name == "fibercell.spectrum"]
-    ceiling = (mu1_h + 0.2 ** 2 * (8 * math.pi) ** 2) * (1 + 1e-8)
+    ceiling = (ops.disk_mu1[1e-9] + 0.2 ** 2 * (8 * math.pi) ** 2) * (1 + 1e-8)
     assert lines == [
         "merge eps=0.2 k=8 ceiling=None: 17 pencils solved, 5 sectors dropped, "
         "35 pairs returned, 8 kept",
         f"merge eps=0.2 k=8 ceiling={ceiling}: 12 pencils solved, 5 sectors "
         "dropped, 9 pairs returned, 8 kept"]
+
+
+def test_disk_value_is_solved_once_per_operator_set(mesh16, monkeypatch):
+    # every eps of a sweep reads the disk value the first merge solved
+    disk, calls = spectrum.discrete_disk_mu1, []
+
+    def spy(mesh, tol):
+        calls.append(tol)
+        return disk(mesh, tol=tol)
+
+    monkeypatch.setattr(spectrum, "discrete_disk_mu1", spy)
+    ops = fc.CellOperators(mesh16)
+    for eps in (0.4, 0.2):
+        fc.merged_spectrum(mesh16, eps, 3, operators=ops)
+    assert calls == [1e-9]
+    assert ops.disk_mu1 == {1e-9: disk(mesh16)}
 
 
 def test_e_copies_are_m_orthogonal_turns(mesh16):

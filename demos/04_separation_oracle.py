@@ -33,9 +33,10 @@ for eps in (1.0, 0.2):
     print("  mode merge:", " ".join(f"{v:9.4f}" for v in vm))
 
 print("\nARPACK shift-invert vs dense oracle on small pencils:")
-coarse = fc.generate_mesh(geometry, 12)
+operators = fc.CellOperators(fc.generate_mesh(geometry, 12))
+gamma_1 = fc.vertical_eigenvalues(1, geometry.height)[0]
 for eps in (1.0, 0.2):
-    K, M = fc.assemble_mode_pencil(coarse, eps, np.pi ** 2)
+    K, M = fc.assemble_mode_pencil(operators, eps, gamma_1)
     dense_vals, _ = fc.dense_eigen_oracle(K, M)
     pairs = fc.smallest_eigenpairs(K, M, 6)
     worst = max(abs(p.value - v) / abs(v) for p, v in zip(pairs, dense_vals))

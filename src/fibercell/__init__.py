@@ -8,7 +8,7 @@ tying the two together.
 
 __version__ = "0.1.0"
 
-from .geometry import CellGeometry, GeometryError
+from .geometry import CellGeometry, GeometryError, vertical_eigenvalues
 from .mesh import (FIBER, MATRIX, MeshQualityError, MidpointRule, QualityReport,
                    TriMesh, generate_mesh, mesh_quality, read_mesh,
                    structured_mesh, write_mesh)

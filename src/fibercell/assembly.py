@@ -123,9 +123,10 @@ class CellOperators:
 
         K = K_F + eps^-2 K_M + gamma (eps^2 M_F + M_M),   M = M_F + M_M.
 
-    The production path (``convergence_sweep``) builds one set per mesh
-    and passes it to every pencil of that mesh; the oracles build their
-    own.  ``mesh`` is the mesh the set was built from, and None for a set
+    Every mode pencil is assembled from a set passed in
+    (``assemble_mode_pencil``): ``convergence_sweep`` and ``validate``
+    build one set per mesh and share it over every pencil and eps of that
+    mesh.  ``mesh`` is the mesh the set was built from, and None for a set
     made by ``project``.  ``disk_mu1`` maps an eigensolver tol to the
     mesh's discrete disk value, filled by the merge that needs it.
     """
@@ -226,31 +227,32 @@ class CellOperators:
         return self._csr(w_fiber * self.mass_fiber + w_matrix * self.mass_matrix)
 
 
-def assemble_mode_pencil(mesh: TriMesh, eps: float, gamma: float,
-                         operators: CellOperators = None):
+def assemble_mode_pencil(operators: CellOperators, eps: float, gamma: float):
     """Pencil (K, M) of the 2D problem obtained by separating one vertical
     mode: K = stiffness(1, eps^-2) + gamma * mass(eps^2, 1), M = mass(1, 1),
-    with weight pairs (fiber, matrix), both CSR on the operators' pattern.
+    with weight pairs (fiber, matrix), both CSR on the pattern of
+    ``operators``, a mesh's CellOperators set or a projection of one.
 
     Parameters
     ----------
+    operators : CellOperators
+        The four unit-weight parts the pencil sums; no part is assembled
+        here.
     eps : float in (0, 1]
         Contrast parameter.
     gamma : finite float > 0
-        Vertical eigenvalue (j pi / L)^2 of the separated mode; gamma <= 0
-        would lose positive definiteness under the natural lateral boundary.
-    operators : CellOperators of ``mesh``, optional
-        Built here, and dropped after the call, when not given.
+        Vertical eigenvalue (j pi / L)^2 of the separated mode
+        (``vertical_eigenvalues``); gamma <= 0 would lose positive
+        definiteness under the natural lateral boundary.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if not (0.0 < gamma < np.inf):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    ops = CellOperators(mesh) if operators is None else operators
-    K = ops._csr(ops.stiff_fiber + eps ** -2 * ops.stiff_matrix
-                 + gamma * (eps ** 2 * ops.mass_fiber + ops.mass_matrix))
-    M = ops._csr(ops.mass_fiber + ops.mass_matrix)
-    return K, M
+    ops = operators
+    return (ops._csr(ops.stiff_fiber + eps ** -2 * ops.stiff_matrix
+                     + gamma * (eps ** 2 * ops.mass_fiber + ops.mass_matrix)),
+            ops._csr(ops.mass_fiber + ops.mass_matrix))
 
 
 def assemble_dirichlet_disk(mesh: TriMesh):

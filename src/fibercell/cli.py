@@ -16,9 +16,10 @@ import sys
 
 import numpy as np
 
-from .assembly import assemble_mode_pencil
+from .assembly import CellOperators, assemble_mode_pencil
 from .config import ConfigError, RunConfig, parse_config, write_json, write_table
 from .eigensolve import dense_eigen_oracle, smallest_eigenpairs
+from .geometry import vertical_eigenvalues
 from .limit import (DispersionParams, limit_eigenvalues, mean_u0_closed,
                     mean_u0_series, write_roots_csv, write_roots_json)
 from .mesh import generate_mesh, write_mesh
@@ -123,23 +124,25 @@ def _run_validation(config: RunConfig, geometry) -> list[str]:
     # on a coarse mesh: Kronecker 3D oracle vs the production merge over the
     # discrete vertical eigenvalues, without a ceiling, and the production
     # merge under the disk ceiling, as ``converge`` runs it, vs a dense
-    # merge of the whole mode pencils
+    # merge of the whole mode pencils; one operator set serves every pencil
+    # and merge of the coarse mesh, as in ``converge``
     coarse = generate_mesh(geometry, 12)
+    ops = CellOperators(coarse)
+    gammas = vertical_eigenvalues(8, geometry.height)
     for eps in (1.0, 0.2):
         failures += _disagreement(f"kron/merge at eps={eps}",
                                   kron_3d_oracle(coarse, 8, eps, 8),
                                   discrete_mode_merge(coarse, 8, eps, 8))
-        whole = sorted(value for j in range(1, 9) for value in dense_eigen_oracle(
-            *assemble_mode_pencil(coarse, eps, (j * np.pi / geometry.height) ** 2),
-            count=8)[0])
+        whole = sorted(value for gamma in gammas for value in dense_eigen_oracle(
+            *assemble_mode_pencil(ops, eps, gamma), count=8)[0])
         failures += _disagreement(f"sector/whole at eps={eps}",
                                   [e.value for e in merged_spectrum(
-                                      coarse, eps, 8, tol=config.eig_tol)],
+                                      coarse, eps, 8, tol=config.eig_tol, operators=ops)],
                                   whole[:8])
 
     # ARPACK shift-invert certified by an inertia count vs dense on a coarse
     # pencil, without a bound and under one (ARPACK on the count's factor)
-    K, M = assemble_mode_pencil(coarse, 0.3, (np.pi / geometry.height) ** 2)
+    K, M = assemble_mode_pencil(ops, 0.3, gammas[0])
     dense_vals, _ = dense_eigen_oracle(K, M)
     sigma = 0.5 * (dense_vals[3] + dense_vals[4])
     for below, reference in ((None, dense_vals[:6]), (sigma, dense_vals[:4])):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import write_json, write_table
-from .geometry import CellGeometry
+from .geometry import CellGeometry, vertical_eigenvalues
 
 J01 = 2.404825557695773   # first zero of J0, correctly rounded
 _INTERVAL_MARGIN = 1e-10  # relative margin keeping bisection off 0 and mu_1
@@ -79,7 +79,7 @@ class DispersionParams:
     """Geometry-derived constants of the dispersion function.
 
     mu1 is the first disk Dirichlet eigenvalue (j_{0,1}/r)^2, lambda0 the
-    first vertical eigenvalue (pi/L)^2, c_coef = 1 + |D|/|C\\D| and
+    first vertical eigenvalue gamma_1 = (pi/L)^2, c_coef = 1 + |D|/|C\\D| and
     cp_coef = 1/|C\\D|.  ``eigendata`` holds the radial disk modes 1..n_terms+1
     of ``disk_radial_eigendata``, built on first use.
     """
@@ -96,7 +96,7 @@ class DispersionParams:
             raise ValueError("n_terms must be at least 50")
         g = self.geometry
         self.mu1 = (J01 / g.radius) ** 2
-        self.lambda0 = (math.pi / g.height) ** 2
+        self.lambda0 = vertical_eigenvalues(1, g.height)[0]
         self.c_coef = 1.0 + g.disk_area / g.matrix_area
         self.cp_coef = 1.0 / g.matrix_area
 
@@ -290,15 +290,12 @@ def limit_eigenvalues(params: DispersionParams, j_max: int,
     not checked here; ``delta_check`` is delta at the accepted root, the
     value of its last bisection step, and no lambda is evaluated twice for
     one root.  S at the roots comes from one ``mean_u0_closed`` call.
-    Raises ``ValueError`` where ``_check_floor`` does.
+    Raises ``ValueError`` where ``_check_floor`` does, and where
+    ``vertical_eigenvalues``, the source of every gamma_j, refuses j_max.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+    gammas = vertical_eigenvalues(j_max, params.geometry.height, "j_max")
     _check_floor(params)
-    L = params.geometry.height
     mu1 = params.mu1
-    # the scalar power: an array power differs by 1 ulp at j = 119, 238, 555
-    gammas = [(j * math.pi / L) ** 2 for j in range(1, j_max + 1)]
 
     def stop(lo, hi, value, gamma):
         return (hi - lo <= rel_tol * mu1) & (

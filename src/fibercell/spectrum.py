@@ -27,8 +27,8 @@ from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
                        assemble_mode_pencil, whole_sector)
 from .config import write_json as _write_json, write_table
 from .eigensolve import (EigenPair, dense_eigen_oracle, residual_gate,
-                         smallest_eigenpairs, DENSE_ORACLE_MAX_N)
-from .geometry import CellGeometry
+                         smallest_eigenpairs)
+from .geometry import CellGeometry, vertical_eigenvalues
 from .limit import (DispersionParams, LimitRoot, limit_eigenvalues, u0_eval)
 from .mesh import TriMesh, generate_mesh
 
@@ -104,23 +104,24 @@ class ConvergenceReport:
 
 
 def mode_spectrum(mesh: TriMesh, eps: float, j: int, L: float, k: int,
-                  tol: float = 1e-9, operators: CellOperators = None) -> ModeSpectrum:
+                  tol: float = 1e-9) -> ModeSpectrum:
     """k smallest eigenpairs of the pencil of vertical mode j on a cell of
-    height L, assembled from ``operators`` (the mesh's CellOperators, built
-    here if None): ``_lazy_merge`` over this one mode."""
-    if j < 1:
-        raise ValueError("mode index j must be >= 1")
-    merged = _lazy_merge(mesh, eps, {j: (j * math.pi / L) ** 2}, k, tol, operators)
+    height L, gamma_j from ``vertical_eigenvalues``: ``_lazy_merge`` over
+    this one mode, on a CellOperators set of ``mesh`` built here."""
+    gamma = vertical_eigenvalues(j, L, "mode index j")[-1]
+    merged = _lazy_merge(CellOperators(mesh), eps, {j: gamma}, k, tol)
     return ModeSpectrum(pairs=[pair for _, _, pair in merged])
 
 
 def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
                     operators: CellOperators = None) -> list[MergedEigenvalue]:
     """The k_total smallest values of the per-mode spectra: ``_lazy_merge``
-    over modes 1..k_total, with the cell height ``mesh.geometry.height``
-    and ``operators`` built here if None, so the sector projections are
-    made once for all modes.  Ranks count within each mode, an E value
-    giving two entries of consecutive rank.
+    over modes 1..k_total, gamma_1..gamma_k_total from
+    ``vertical_eigenvalues`` at the cell height ``mesh.geometry.height``,
+    on ``operators``, the mesh's CellOperators set, built here if None.  A
+    caller that passes one set for many eps (``convergence_sweep``) has
+    its sector projections and disk value made once.  Ranks count within
+    each mode, an E value giving two entries of consecutive rank.
 
     No mode above k_total is needed: K grows with gamma by at least
     eps^2 M, so each mode's smallest eigenvalue exceeds the previous
@@ -133,28 +134,34 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     node, so its Rayleigh quotient in mode j is mu1_h + eps^2 gamma_j and
     by min-max modes 1..k_total each hold a value below the ceiling.  A
     mesh that ``assemble_dirichlet_disk`` refuses is refused here too.
+
+    At eps near 1 more than k_total values of mode 1's first sector lie
+    below the ceiling, so that pencil pays the count's factor and then the
+    shift-0 path of ``smallest_eigenpairs``: at eps 1.0, 15
+    ``_symmetric_lu`` calls against 14 without the ceiling, on n_div 12
+    and 64 alike.  ``validate`` and the ceiling tests run at eps 1.0; the
+    default sweep (eps <= 0.4) does not.
     """
-    if k_total < 1:
-        raise ValueError("k_total must be >= 1")
+    gammas = vertical_eigenvalues(k_total, mesh.geometry.height, "k_total")
     ops = CellOperators(mesh) if operators is None else operators
-    L = mesh.geometry.height
-    gammas = {j: (j * math.pi / L) ** 2 for j in range(1, k_total + 1)}
-    ceiling = (_disk_mu1(ops, tol) + eps ** 2 * gammas[k_total]) * (1 + 1e-8)
-    merged = _lazy_merge(mesh, eps, gammas, k_total, tol, ops, ceiling)
+    ceiling = (_disk_mu1(ops, tol) + eps ** 2 * gammas[-1]) * (1 + 1e-8)
+    merged = _lazy_merge(ops, eps, dict(enumerate(gammas, start=1)), k_total, tol,
+                         ceiling)
     modes = [j for _, j, _ in merged]
     return [MergedEigenvalue(value=value, j=j, rank=modes[:i].count(j) + 1, pair=pair)
             for i, (value, j, pair) in enumerate(merged)]
 
 
-def _lazy_merge(mesh: TriMesh, eps: float, gammas: dict, k: int, tol: float,
-                operators: CellOperators, ceiling: float = None):
+def _lazy_merge(operators: CellOperators, eps: float, gammas: dict, k: int,
+                tol: float, ceiling: float = None):
     """The k smallest eigenpairs over the mode pencils of the vertical
     eigenvalues ``gammas``, a {label j: gamma_j} map in ascending order of
-    gamma_j, as (value, j, pair) sorted by (value, j).
+    gamma_j, as (value, j, pair) sorted by (value, j), each pencil
+    assembled from the operator set ``operators`` of a mesh.
 
     Each mode pencil is solved on the symmetry sectors of
-    ``operators.sectors`` (built here if None), each a pencil of the
-    projected operator set, in order, so mode 1's sector A1 comes first.
+    ``operators.sectors``, each a pencil of the projected operator set, in
+    order, so mode 1's sector A1 comes first.
     Every (mode, sector) pencil is solved only below the bound
     min(``ceiling``, k-th merged value so far times 1 + 1e-8): the ceiling
     alone until k values are known, and no bound at all while the ceiling
@@ -176,21 +183,20 @@ def _lazy_merge(mesh: TriMesh, eps: float, gammas: dict, k: int, tol: float,
     call gives the ceiling, the pencils solved, the sectors dropped and
     the lifted pairs returned against those kept.
     """
-    ops = CellOperators(mesh) if operators is None else operators
-    live = ops.sectors
+    live = operators.sectors
     if any(-(-k // sector.copies) >= sector_ops.shape[0] for sector, sector_ops in live):
-        live = [(whole_sector(ops.shape[0]), ops)]
+        live = [(whole_sector(operators.shape[0]), operators)]
     sectors = len(live)
     top = math.inf if ceiling is None else ceiling
     merged, solved, returned = [], 0, 0
     for j, gamma in gammas.items():
-        K, M = assemble_mode_pencil(mesh, eps, gamma, operators=ops)
-        # built anew, never pruned in place: ops.sectors is cached and
+        K, M = assemble_mode_pencil(operators, eps, gamma)
+        # built anew, never pruned in place: operators.sectors is cached and
         # serves every eps
         solving, live = live, []
         for sector, sector_ops in solving:
             bound = min(top, merged[-1][0] * (1 + 1e-8)) if len(merged) == k else ceiling
-            K_s, M_s = assemble_mode_pencil(mesh, eps, gamma, operators=sector_ops)
+            K_s, M_s = assemble_mode_pencil(sector_ops, eps, gamma)
             pairs = smallest_eigenpairs(K_s, M_s, -(-k // sector.copies), tol=tol,
                                         below=bound)
             solved += 1
@@ -221,11 +227,11 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarray:
         K3 = K2(1, eps^-2) x M1 + M2(eps^2, 1) x K1,   M3 = M2(1,1) x M1,
 
     with the 2D factors from a CellOperators set built here and the 1D
-    factors on n1d intervals of the height ``mesh.geometry.height``.  Dense
-    LAPACK when the product size allows it, the ARPACK shift-invert solve
-    of ``smallest_eigenpairs`` otherwise.  Refuses eps outside (0, 1], a
-    mesh with more vertices than the n_div = 40 grid has, 41^2 + 40^2 =
-    3281, whether generated or read, and n1d > 32.
+    factors on n1d intervals of the height ``mesh.geometry.height``, by the
+    ARPACK shift-invert solve of ``smallest_eigenpairs`` at every size.
+    Refuses eps outside (0, 1], a mesh with more vertices than the n_div =
+    40 grid has, 41^2 + 40^2 = 3281, whether generated or read, and
+    n1d > 32.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
@@ -238,8 +244,6 @@ def kron_3d_oracle(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarray:
     K3 = (sp.kron(operators.stiffness(1.0, eps ** -2), M1)
           + sp.kron(operators.mass(eps ** 2, 1.0), K1)).tocsr()
     M3 = sp.kron(operators.mass(1.0, 1.0), M1).tocsr()
-    if K3.shape[0] <= DENSE_ORACLE_MAX_N:
-        return dense_eigen_oracle(K3, M3, count=k)[0]
     return np.array([p.value for p in smallest_eigenpairs(K3, M3, k)])
 
 
@@ -253,7 +257,8 @@ def discrete_mode_merge(mesh: TriMesh, n1d: int, eps: float, k: int) -> np.ndarr
     residual gate at tol 1e-9."""
     K1, M1 = assemble_1d(n1d, mesh.geometry.height)
     gammas = dense_eigen_oracle(K1, M1)[0].tolist()
-    merged = _lazy_merge(mesh, eps, dict(enumerate(gammas, start=1)), k, 1e-9, None)
+    merged = _lazy_merge(CellOperators(mesh), eps, dict(enumerate(gammas, start=1)),
+                         k, 1e-9)
     return np.array([value for value, _, _ in merged])
 
 
@@ -319,17 +324,19 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
     another on one CellOperators set of that mesh, and its midpoint rule.
     Merged eigenvalues pair with the limit root of the same mode label j,
     bracketed to the relative tolerance ``root_tol``.
-    The bound column is mu1 + eps^2 (k pi / L)^2 with the k-th *merged*
-    rank, the slack subtracts lambda_eps, and c_h reports the same-mesh
-    overestimate of mu1 so the h-effect can be separated from the
-    eps-effect.  Each merge runs under the ceiling mu1_h + eps^2 gamma_k_total,
-    bound + c_h at k = k_total, from the one disk solve that gives c_h: the
-    disk vector vanishes on the matrix, so by min-max modes 1..k_total
-    each hold a value below it.
+    The bound column is mu1 + eps^2 gamma_k, gamma_k = (k pi / L)^2 from
+    ``vertical_eigenvalues`` with the k-th *merged* rank, the slack
+    subtracts lambda_eps, and c_h reports the same-mesh overestimate of
+    mu1 so the h-effect can be separated from the eps-effect.  Each merge
+    runs under the ceiling mu1_h + eps^2 gamma_k_total, bound + c_h at
+    k = k_total, from the one disk solve that gives c_h: the disk vector
+    vanishes on the matrix, so by min-max modes 1..k_total each hold a
+    value below it.
     """
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
+    gammas = vertical_eigenvalues(k_total, geometry.height, "k_total")
     mesh = generate_mesh(geometry, n_div)
     params = DispersionParams(geometry=geometry)
     roots = {root.j: root for root in limit_eigenvalues(params, k_total,
@@ -337,14 +344,12 @@ def convergence_sweep(geometry: CellGeometry, eps_list, n_div: int, k_total: int
     operators = CellOperators(mesh)
     mu1_h = _disk_mu1(operators, eig_tol)
     c_h = mu1_h - params.mu1
-    L = geometry.height
 
     rows, reorderings = [], []
     for eps in eps_list:
         merged = merged_spectrum(mesh, eps, k_total, tol=eig_tol, operators=operators)
-        for k, entry in enumerate(merged, start=1):
-            lam0_k = (k * math.pi / L) ** 2
-            bound = params.mu1 + eps ** 2 * lam0_k
+        for k, (entry, gamma_k) in enumerate(zip(merged, gammas), start=1):
+            bound = params.mu1 + eps ** 2 * gamma_k
             root = roots[entry.j]
             err_f, err_m = eigenvector_error(entry.pair, entry.j, root, mesh)
             rows.append(ReportRow(

@@ -153,12 +153,11 @@ def test_criterion_9_simplicity(sweep, params, mesh64):
 
 
 def test_criterion_10_eigensolver_oracle(geometry, mesh16):
-    mesh12 = fc.generate_mesh(geometry, 12)
+    ops12 = fc.CellOperators(fc.generate_mesh(geometry, 12))
     pencils = []
     for eps in (1.0, 0.2):
-        for j in (1, 2):
-            gamma = (j * math.pi / geometry.height) ** 2
-            K, M = fc.assemble_mode_pencil(mesh12, eps, gamma)
+        for j, gamma in enumerate(fc.vertical_eigenvalues(2, geometry.height), start=1):
+            K, M = fc.assemble_mode_pencil(ops12, eps, gamma)
             pencils.append((f"mode eps={eps} j={j}", K, M, 6))
     K1, M1 = fc.assemble_1d(64, 1.0)
     pencils.append(("1d interval", K1, M1, 4))

@@ -59,10 +59,10 @@ def test_mass_fiber_weight_scaling(mesh16):
 
 
 def test_mode_pencil_weights_and_definiteness(mesh16):
-    K, M = fc.assemble_mode_pencil(mesh16, 0.1, math.pi ** 2)
+    ops = fc.CellOperators(mesh16)
+    K, M = fc.assemble_mode_pencil(ops, 0.1, math.pi ** 2)
     # K = stiffness(1, eps^-2) + gamma*mass(eps^2, 1) exactly
-    K_expect = (fc.CellOperators(mesh16).stiffness(1.0, 100.0)
-                + math.pi ** 2 * fc.CellOperators(mesh16).mass(0.01, 1.0))
+    K_expect = ops.stiffness(1.0, 100.0) + math.pi ** 2 * ops.mass(0.01, 1.0)
     assert abs(K - K_expect).max() < 1e-12
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -72,28 +72,30 @@ def test_mode_pencil_weights_and_definiteness(mesh16):
 
 def test_mode_pencil_gamma_linearity(mesh16):
     # differencing two gammas recovers the weighted mass exactly
-    K1, _ = fc.assemble_mode_pencil(mesh16, 0.2, 1.0)
-    K2, _ = fc.assemble_mode_pencil(mesh16, 0.2, 3.0)
-    M_w = fc.CellOperators(mesh16).mass(0.04, 1.0)
+    ops = fc.CellOperators(mesh16)
+    K1, _ = fc.assemble_mode_pencil(ops, 0.2, 1.0)
+    K2, _ = fc.assemble_mode_pencil(ops, 0.2, 3.0)
+    M_w = ops.mass(0.04, 1.0)
     assert abs((K2 - K1) / 2.0 - M_w).max() < 1e-12
 
 
 def test_mode_pencil_invalid_arguments(mesh16):
+    ops = fc.CellOperators(mesh16)
     with pytest.raises(ValueError):
-        fc.assemble_mode_pencil(mesh16, 0.1, 0.0)
+        fc.assemble_mode_pencil(ops, 0.1, 0.0)
     with pytest.raises(ValueError):
-        fc.assemble_mode_pencil(mesh16, 1.5, 1.0)
+        fc.assemble_mode_pencil(ops, 1.5, 1.0)
     # a non-finite gamma built a pencil with non-finite entries
     for gamma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
-            fc.assemble_mode_pencil(mesh16, 0.5, gamma)
+            fc.assemble_mode_pencil(ops, 0.5, gamma)
 
 
 def test_uniform_pencil_ground_state_is_gamma(mesh16):
     # eps = 1 collapses the weights; lowest eigenvalue = gamma with a
     # constant eigenvector under the natural lateral boundary
     gamma = math.pi ** 2
-    K, M = fc.assemble_mode_pencil(mesh16, 1.0, gamma)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh16), 1.0, gamma)
     pairs = fc.smallest_eigenpairs(K, M, 1)
     assert pairs[0].value == pytest.approx(gamma, rel=1e-10)
 

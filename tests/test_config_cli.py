@@ -281,6 +281,21 @@ def test_cli_validate_checks_the_sector_merge(tmp_path, monkeypatch):
         "sector/whole at eps=1.0", "sector/whole at eps=0.2"]
 
 
+def test_cli_validate_shares_one_operator_set(tmp_path, monkeypatch):
+    # one set serves every pencil and merge on validate's coarse mesh; the
+    # others are the disk's and those the two oracles build for themselves,
+    # at most 6 in all (25 when each pencil built its own)
+    built, init = [], fc.CellOperators.__init__
+
+    def spy(self, mesh):
+        built.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(fc.CellOperators, "__init__", spy)
+    assert main(["validate", "--out", str(tmp_path)]) == 0
+    assert len(built) <= 6
+
+
 def test_cli_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -87,7 +87,7 @@ def test_lanczos_matches_dense_on_mode_pencil(geometry, mesh16):
     # whose second copy a single Krylov space from the all-ones start misses
     mesh20 = fc.generate_mesh(geometry, 20)
     for mesh, eps, j, k in ((mesh16, 0.3, 1, 6), (mesh20, 0.4, 8, 8)):
-        K, M = fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
+        K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh), eps, (j * math.pi) ** 2)
         values, _ = fc.dense_eigen_oracle(K, M)
         pairs = fc.smallest_eigenpairs(K, M, k)
         assert len(pairs) == k
@@ -105,7 +105,7 @@ def test_lanczos_matches_dense_on_mode_pencil(geometry, mesh16):
 
 
 def test_accepted_pairs_meet_contract(mesh16):
-    K, M = fc.assemble_mode_pencil(mesh16, 0.2, math.pi ** 2)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh16), 0.2, math.pi ** 2)
     pairs = fc.smallest_eigenpairs(K, M, 5, tol=1e-9)
     values = [p.value for p in pairs]
     assert values == sorted(values)
@@ -118,7 +118,7 @@ def test_accepted_pairs_meet_contract(mesh16):
 
 @pytest.mark.parametrize("shift", [0.0, 1.0, 10.0])
 def test_shift_invariance(mesh16, shift):
-    K, M = fc.assemble_mode_pencil(mesh16, 0.5, math.pi ** 2)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh16), 0.5, math.pi ** 2)
     base = fc.smallest_eigenpairs(K, M, 3)
     shifted = fc.smallest_eigenpairs(K + shift * M, M, 3)
     for a, b in zip(base, shifted):
@@ -147,7 +147,7 @@ def test_probe_exhaustion_raises():
 
 
 def test_k_out_of_range(mesh16):
-    K, M = fc.assemble_mode_pencil(mesh16, 1.0, 1.0)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh16), 1.0, 1.0)
     with pytest.raises(ValueError):
         fc.smallest_eigenpairs(K, M, K.shape[0])
     with pytest.raises(ValueError):
@@ -160,9 +160,9 @@ def test_off_centre_fiber_pencil_converges(mesh64):
     off_centre = fc.CellGeometry(center=(0.5 + 1e-6, 0.5))
     mesh = fc.generate_mesh(off_centre, 64)
     gamma = (8 * math.pi) ** 2
-    K, M = fc.assemble_mode_pencil(mesh, 0.4, gamma)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh), 0.4, gamma)
     pairs = fc.smallest_eigenpairs(K, M, 8, tol=1e-9)
-    K_c, M_c = fc.assemble_mode_pencil(mesh64, 0.4, gamma)
+    K_c, M_c = fc.assemble_mode_pencil(fc.CellOperators(mesh64), 0.4, gamma)
     ref = fc.smallest_eigenpairs(K_c, M_c, 8, tol=1e-9)
     assert len(pairs) == 8
     for pair, expected in zip(pairs, ref):
@@ -171,9 +171,10 @@ def test_off_centre_fiber_pencil_converges(mesh64):
 
 
 def _oracle_pencils(mesh12, mesh16):
+    ops12 = fc.CellOperators(mesh12)
     for eps in (1.0, 0.2, 0.05):
         for j in (1, 3, 8):
-            K, M = fc.assemble_mode_pencil(mesh12, eps, (j * math.pi) ** 2)
+            K, M = fc.assemble_mode_pencil(ops12, eps, (j * math.pi) ** 2)
             yield f"mesh12 eps={eps} j={j}", K, M
     K1, M1 = fc.assemble_1d(64, 1.0)
     yield "1D, 64 intervals", K1, M1
@@ -202,7 +203,7 @@ def test_below_returns_exactly_the_dense_values_below(mesh12):
     # eps=0.2, j=3 has doubles at ranks 3-4 and 5-6; k=3 under a bound
     # above rank 4 splits the first double, and both of its copies must be
     # found before the third value is certified
-    K, M = fc.assemble_mode_pencil(mesh12, 0.2, (3 * math.pi) ** 2)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh12), 0.2, (3 * math.pi) ** 2)
     values, _ = fc.dense_eigen_oracle(K, M)
     shifts, expected = _gap_midpoints(values[:12], 11)
     for below, count in zip(shifts, expected):
@@ -258,7 +259,7 @@ def test_double_kth_value_costs_one_factorization(mesh64, monkeypatch):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(eigensolve, name, spy)
-    K, M = fc.assemble_mode_pencil(mesh64, 0.1, math.pi ** 2)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh64), 0.1, math.pi ** 2)
     pairs = fc.smallest_eigenpairs(K, M, 8)
     assert len(pairs) == 8
     assert calls == {"factorize_spd": 1, "eigsh": 1}
@@ -276,9 +277,10 @@ def test_bound_next_to_the_spectrum_retries_on_k(mesh16, monkeypatch, caplog):
         calls.append("factorize_spd")
         return factorize_spd(K)
 
-    K1, M1 = fc.assemble_mode_pencil(mesh16, 0.05, math.pi ** 2)
+    ops = fc.CellOperators(mesh16)
+    K1, M1 = fc.assemble_mode_pencil(ops, 0.05, math.pi ** 2)
     below = fc.smallest_eigenpairs(K1, M1, 12)[-1].value * (1 + 1e-8)
-    K, M = fc.assemble_mode_pencil(mesh16, 0.05, (2 * math.pi) ** 2)
+    K, M = fc.assemble_mode_pencil(ops, 0.05, (2 * math.pi) ** 2)
     monkeypatch.setattr(eigensolve, "factorize_spd", spy)
     with caplog.at_level(logging.DEBUG, logger="fibercell.eigensolve"):
         pairs = fc.smallest_eigenpairs(K, M, 12, below=below)

@@ -416,7 +416,10 @@ def test_golden_mu0(params):
     (lambda params: disk_radial_eigendata(0.25, 0), "at least one mode"),
     (lambda params: u0_eval(10.0, [0.0, 0.26], 0.25), r"rho must lie in \[0, r\]"),
     (lambda params: u0_eval(10.0, -1e-3, 0.25), r"rho must lie in \[0, r\]"),
-    (lambda params: limit_eigenvalues(params, 0), "j_max must be >= 1")])
+    (lambda params: limit_eigenvalues(params, 0), "j_max must be >= 1"),
+    # True ran as j_max = 1
+    (lambda params: limit_eigenvalues(params, True),
+     "j_max must be >= 1 and an int, got True")])
 def test_refusals(params, call, match):
     with pytest.raises(ValueError, match=match):
         call(params)

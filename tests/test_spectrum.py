@@ -23,7 +23,7 @@ def test_high_contrast_ground_state_below_bound(mesh16, params):
 
 def test_gamma_swap_reproduces_other_mode(mesh16):
     s2 = fc.mode_spectrum(mesh16, 0.3, 2, 1.0, 3)
-    K, M = fc.assemble_mode_pencil(mesh16, 0.3, (2 * math.pi) ** 2)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh16), 0.3, (2 * math.pi) ** 2)
     pairs = fc.smallest_eigenpairs(K, M, 3)
     for a, b in zip(s2.pairs, pairs):
         assert a.value == pytest.approx(b.value, rel=1e-12)
@@ -59,9 +59,9 @@ def test_lazy_merge_matches_full_merge(mesh16, eps, k_total, monkeypatch):
     solved = []
     assemble = spectrum.assemble_mode_pencil
 
-    def recording(mesh, eps, gamma, **kwargs):
+    def recording(operators, eps, gamma):
         solved.append(round(math.sqrt(gamma) / math.pi))
-        return assemble(mesh, eps, gamma, **kwargs)
+        return assemble(operators, eps, gamma)
 
     monkeypatch.setattr(spectrum, "assemble_mode_pencil", recording)
     merged = fc.merged_spectrum(mesh16, eps, k_total)
@@ -98,9 +98,9 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
 
     assembled, pencils = [], []
 
-    def assemble_spy(mesh, eps, gamma, operators):
+    def assemble_spy(operators, eps, gamma):
         assembled.append((round(math.sqrt(gamma) / math.pi), operators))
-        return assemble(mesh, eps, gamma, operators=operators)
+        return assemble(operators, eps, gamma)
 
     def solve_spy(K, M, k, tol, below):
         start = len(work)
@@ -146,9 +146,9 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
 def test_sector_merge_matches_dense_whole_pencils(mesh_name, eps, k_total, request):
     # the sector path against a dense merge of the whole mode pencils
     mesh = request.getfixturevalue(mesh_name)
-    assert [sector.name for sector, _ in fc.CellOperators(mesh).sectors] == [
-        "A1", "A2", "B1", "B2", "E"]
-    pencils = {j: fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
+    ops = fc.CellOperators(mesh)
+    assert [sector.name for sector, _ in ops.sectors] == ["A1", "A2", "B1", "B2", "E"]
+    pencils = {j: fc.assemble_mode_pencil(ops, eps, (j * math.pi) ** 2)
                for j in range(1, k_total + 1)}
     dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
                    for rank, value in enumerate(
@@ -175,9 +175,10 @@ def test_off_centre_merge_matches_dense_whole_pencils():
     # ceiling, against a dense merge of the whole mode pencils
     mesh = fc.generate_mesh(fc.CellGeometry(center=(0.5, 0.500001)), 16)
     assert [s.name for s in symmetry_sectors(mesh)] == ["whole"]
+    ops = fc.CellOperators(mesh)
     for eps in (1.0, 0.2, 0.05):
         for k_total in (3, 8, 12):
-            pencils = {j: fc.assemble_mode_pencil(mesh, eps, (j * math.pi) ** 2)
+            pencils = {j: fc.assemble_mode_pencil(ops, eps, (j * math.pi) ** 2)
                        for j in range(1, k_total + 1)}
             dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
                            for rank, value in enumerate(
@@ -212,7 +213,7 @@ def test_merge_logs_its_work(mesh16, caplog):
     ops = fc.CellOperators(mesh16)
     gammas = {j: (j * math.pi) ** 2 for j in range(1, 9)}
     with caplog.at_level(logging.DEBUG, logger="fibercell.spectrum"):
-        spectrum._lazy_merge(mesh16, 0.2, gammas, 8, 1e-9, ops)
+        spectrum._lazy_merge(ops, 0.2, gammas, 8, 1e-9)
         fc.merged_spectrum(mesh16, 0.2, 8, operators=ops)
     lines = [r.getMessage() for r in caplog.records if r.name == "fibercell.spectrum"]
     ceiling = (ops.disk_mu1[1e-9] + 0.2 ** 2 * (8 * math.pi) ** 2) * (1 + 1e-8)
@@ -221,6 +222,21 @@ def test_merge_logs_its_work(mesh16, caplog):
         "35 pairs returned, 8 kept",
         f"merge eps=0.2 k=8 ceiling={ceiling}: 12 pencils solved, 5 sectors "
         "dropped, 9 pairs returned, 8 kept"]
+
+
+def test_merge_builds_one_operator_set_per_mesh(mesh16, monkeypatch):
+    # the mesh's set serves every mode and sector pencil; the only other
+    # set is the disk's, on the fibre sub-mesh
+    built, init = [], fc.CellOperators.__init__
+
+    def spy(self, mesh):
+        built.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(fc.CellOperators, "__init__", spy)
+    fc.merged_spectrum(mesh16, 0.2, 8)
+    assert len(built) == 2 and built[0] is mesh16
+    assert (built[1].tags == fc.FIBER).all()
 
 
 def test_disk_value_is_solved_once_per_operator_set(mesh16, monkeypatch):
@@ -244,8 +260,8 @@ def test_e_copies_are_m_orthogonal_turns(mesh16):
     # degrees, and the two are M-orthogonal
     ops = fc.CellOperators(mesh16)
     sector = next(sector for sector, _ in ops.sectors if sector.name == "E")
-    spec = fc.mode_spectrum(mesh16, 0.2, 1, 1.0, 8, operators=ops)
-    K, M = fc.assemble_mode_pencil(mesh16, 0.2, math.pi ** 2, operators=ops)
+    spec = fc.mode_spectrum(mesh16, 0.2, 1, 1.0, 8)
+    K, M = fc.assemble_mode_pencil(ops, 0.2, math.pi ** 2)
     pairs = spec.pairs
     twins = [(a, b) for a, b in zip(pairs, pairs[1:]) if a.value == b.value]
     assert twins
@@ -274,7 +290,7 @@ def test_k_that_fills_a_sector_solves_the_whole_pencil(geometry):
     mesh = fc.generate_mesh(geometry, 8)
     sizes = [ops.shape[0] for _, ops in fc.CellOperators(mesh).sectors]
     assert sizes == [25, 12, 16, 20, 36] and len(mesh.vertices) == 145
-    K, M = fc.assemble_mode_pencil(mesh, 0.3, math.pi ** 2)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh), 0.3, math.pi ** 2)
     spec = fc.mode_spectrum(mesh, 0.3, 1, 1.0, 20)
     assert spec.values == pytest.approx(fc.dense_eigen_oracle(K, M, count=20)[0],
                                         rel=1e-10)
@@ -293,9 +309,9 @@ def test_operator_set_serves_every_pencil(mesh16):
     # pencils from one shared set equal pencils that build their own
     ops = fc.CellOperators(mesh16)
     for eps, j in ((0.3, 1), (0.05, 4)):
-        a = fc.mode_spectrum(mesh16, eps, j, 1.0, 3, operators=ops)
+        a = spectrum._lazy_merge(ops, eps, {j: (j * math.pi) ** 2}, 3, 1e-9)
         b = fc.mode_spectrum(mesh16, eps, j, 1.0, 3)
-        assert [p.value for p in a.pairs] == [p.value for p in b.pairs]
+        assert [value for value, _, _ in a] == [p.value for p in b.pairs]
     merged = fc.merged_spectrum(mesh16, 0.3, 6, operators=ops)
     assert [e.value for e in merged] == [e.value for e in
                                          fc.merged_spectrum(mesh16, 0.3, 6)]
@@ -306,9 +322,9 @@ def test_discrete_merge_subset_matches_full_dense(mesh12):
     # values of the full dense spectrum of every discrete mode pencil
     K1, M1 = fc.assemble_1d(8, 1.0)
     gammas, _ = fc.dense_eigen_oracle(K1, M1)
-    full = []
+    ops, full = fc.CellOperators(mesh12), []
     for gamma in gammas:
-        K, M = fc.assemble_mode_pencil(mesh12, 0.2, float(gamma))
+        K, M = fc.assemble_mode_pencil(ops, 0.2, float(gamma))
         full.extend(fc.dense_eigen_oracle(K, M)[0][:8])
     merged = fc.discrete_mode_merge(mesh12, 8, 0.2, 8)
     assert merged == pytest.approx(sorted(full)[:8], rel=1e-11)
@@ -445,7 +461,7 @@ def test_eigenvector_error_label_mismatch(mesh16, params):
 
 
 def test_same_pencil_eigenvectors_m_orthogonal(mesh16):
-    K, M = fc.assemble_mode_pencil(mesh16, 0.2, math.pi ** 2)
+    K, M = fc.assemble_mode_pencil(fc.CellOperators(mesh16), 0.2, math.pi ** 2)
     pairs = fc.smallest_eigenpairs(K, M, 4)
     for i, a in enumerate(pairs):
         for b in pairs[i + 1:]:
@@ -495,6 +511,19 @@ def test_report_files(tmp_path, geometry):
     # a non-finite height gave a NaN gamma, seen as a singular factor
     (lambda mesh: fc.mode_spectrum(mesh, 0.5, 1, math.nan, 2),
      "gamma must be positive and finite"),
+    # gamma_j comes from one rule, which checks j and the height: L = -1
+    # gave the spectrum of L = 1, L = 0 a ZeroDivisionError, and j = 1.5 and
+    # j = True (like k_total = True) ran as modes that do not exist
+    (lambda mesh: fc.mode_spectrum(mesh, 0.5, 1, -1.0, 1),
+     r"height must be a finite number > 0, got -1\.0"),
+    (lambda mesh: fc.mode_spectrum(mesh, 0.5, 1, 0.0, 1),
+     r"height must be a finite number > 0, got 0\.0"),
+    (lambda mesh: fc.mode_spectrum(mesh, 0.5, 1.5, 1.0, 1),
+     r"mode index j must be >= 1 and an int, got 1\.5"),
+    (lambda mesh: fc.mode_spectrum(mesh, 0.5, True, 1.0, 1),
+     "mode index j must be >= 1 and an int, got True"),
+    (lambda mesh: fc.merged_spectrum(mesh, 0.5, True),
+     "k_total must be >= 1 and an int, got True"),
     # eps = -0.2 gave the spectrum of eps = 0.2, eps = 0 a ZeroDivisionError
     (lambda mesh: fc.kron_3d_oracle(mesh, 8, -0.2, 4), r"eps must lie in \(0, 1\]"),
     (lambda mesh: fc.kron_3d_oracle(mesh, 8, 2.0, 4), r"eps must lie in \(0, 1\]"),

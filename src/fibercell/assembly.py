@@ -8,7 +8,7 @@ pattern; material weights, which encode the high-contrast coefficients of
 the mode problem, then scale and add those parts.  On a mesh with the
 symmetries of the square, the parts are also projected once onto the
 orthonormal basis of each D4 symmetry sector, where every pencil is again
-a weighted sum of four parts.
+a weighted sum of four parts; any other set is its own whole sector.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import is_number
 from .mesh import FIBER, TriMesh, d4_permutations
 
 _PARTS = ("stiff_fiber", "stiff_matrix", "mass_fiber", "mass_matrix")
@@ -209,9 +210,15 @@ class CellOperators:
     @cached_property
     def sectors(self) -> list:
         """(sector, this set projected onto its basis) for each of the
-        mesh's ``symmetry_sectors``, projected on first read."""
-        return [(sector, self.project(sector.basis))
-                for sector in symmetry_sectors(self.mesh)]
+        mesh's ``symmetry_sectors``, projected on first read.  A set that
+        is one whole sector, made by ``project`` (no mesh) or of a mesh
+        without the D4 symmetry (``d4_permutations`` finds it only in the
+        ``structured_mesh`` vertex order), is its own:
+        ``[(whole_sector(n), self)]``, with no projection and no copy."""
+        sectors = [] if self.mesh is None else symmetry_sectors(self.mesh)
+        if len(sectors) < 2:
+            return [(whole_sector(self.shape[0]), self)]
+        return [(sector, self.project(sector.basis)) for sector in sectors]
 
     def _csr(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
@@ -308,10 +315,14 @@ def assemble_1d(n: int, L: float):
     """P1 matrices of -d^2/dx^2 on (0, L), Dirichlet rows eliminated.
 
     Returns the (n-1) x (n-1) tridiagonal pair
-    K1 = (1/h) tridiag(-1, 2, -1), M1 = (h/6) tridiag(1, 4, 1).
+    K1 = (1/h) tridiag(-1, 2, -1), M1 = (h/6) tridiag(1, 4, 1).  Raises
+    ValueError unless n is an int >= 2 and L a number > 0 by
+    ``is_number``.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 intervals, got {n}")
+    if not (is_number(n, int) and n >= 2):
+        raise ValueError(f"need at least 2 intervals, and an int, got {n!r}")
+    if not (is_number(L) and L > 0):
+        raise ValueError(f"L must be a finite number > 0, got {L!r}")
     h = L / n
     m = n - 1
     main = np.full(m, 2.0 / h)

@@ -35,6 +35,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
 
+from .geometry import is_number
+
 logger = logging.getLogger(__name__)
 
 DENSE_ORACLE_MAX_N = 2000
@@ -127,8 +129,9 @@ def dense_eigen_oracle(K, M, count: int = None):
     symmetric QR algorithm (LAPACK).  Brute-force reference for any pencil
     with at most ``DENSE_ORACLE_MAX_N`` unknowns.  With ``count``, only the
     ``count`` smallest pairs are computed (LAPACK's subset solver); a
-    count < 1 is refused.  Raises NotSPDError when the Cholesky
-    factorization of M fails.
+    count that is not an int >= 1 by ``is_number`` (so no bool) is
+    refused.  Raises NotSPDError when the Cholesky factorization of M
+    fails.
 
     Returns
     -------
@@ -138,8 +141,8 @@ def dense_eigen_oracle(K, M, count: int = None):
     n = K.shape[0]
     if n > DENSE_ORACLE_MAX_N:
         raise ValueError(f"dense oracle limited to n <= {DENSE_ORACLE_MAX_N}, got {n}")
-    if count is not None and count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if count is not None and not (is_number(count, int) and count >= 1):
+        raise ValueError(f"count must be >= 1 and an int, got {count!r}")
     subset = None if count is None else [0, min(count, n) - 1]
     try:
         return scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=subset)
@@ -154,6 +157,8 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
                         below: float = None) -> list[EigenPair]:
     """k smallest eigenpairs of the SPD pencil (K, M), ascending; with
     ``below``, only those whose eigenvalue lies below it, possibly none.
+    k must be an int >= 1 by ``is_number`` (so no bool) and below the
+    pencil size, or ValueError is raised.
 
     ARPACK in shift-invert mode.  Without ``below``, the shift is 0 with
     K^-1 applied through the SPD factorization, and round 0 asks for the k
@@ -188,8 +193,8 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
     """
     K, M = sp.csr_matrix(K), sp.csr_matrix(M)
     n = K.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not (is_number(k, int) and k >= 1):
+        raise ValueError(f"k must be >= 1 and an int, got {k!r}")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the pencil size {n}")
     if below is not None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import write_json, write_table
-from .geometry import CellGeometry, vertical_eigenvalues
+from .geometry import CellGeometry, is_number, vertical_eigenvalues
 
 J01 = 2.404825557695773   # first zero of J0, correctly rounded
 _INTERVAL_MARGIN = 1e-10  # relative margin keeping bisection off 0 and mu_1
@@ -124,10 +124,13 @@ def disk_radial_eigendata(r: float, n: int) -> np.ndarray:
     the disk of radius r: mu_n = (j_{0,n}/r)^2, c_n^2 = 4 pi r^2 / j_{0,n}^2.
 
     c_n is the disk integral of the L2-normalized mode
-    J0(j_{0,n} rho / r) / (sqrt(pi) r |J1(j_{0,n})|).
+    J0(j_{0,n} rho / r) / (sqrt(pi) r |J1(j_{0,n})|).  Raises ValueError
+    unless r is a number > 0 and n an int >= 1 by ``is_number``.
     """
-    if n < 1:
-        raise ValueError("need at least one mode")
+    if not (is_number(n, int) and n >= 1):
+        raise ValueError(f"need at least one mode, and an int, got {n!r}")
+    if not (is_number(r) and r > 0):
+        raise ValueError(f"r must be a finite number > 0, got {r!r}")
     z = bessel_j0_zeros(n)
     return np.column_stack([(z / r) ** 2, 4.0 * math.pi * r * r / (z * z)])
 

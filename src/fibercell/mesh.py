@@ -19,6 +19,7 @@ keeps a positive area and a minimum angle above the floor.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -398,62 +399,49 @@ def d4_permutations(mesh: TriMesh):
     Rows are the rotations by 0, 90, 180 and 270 degrees about the cell
     centre, then the reflections u -> -u, v -> -v, (u, v) -> (v, u) and
     (u, v) -> (-v, -u) of the centred coordinates (u, v); ``perms[g, i]``
-    is the vertex that g moves vertex i onto.  The mesh has the symmetry
-    when the two generators, the 90 degree rotation and u -> -u, each move
-    every vertex within 1e-12 * side of a distinct vertex and every
-    triangle onto a triangle with the same tag; the other six rows are
-    their products.
+    is the vertex that g moves vertex i onto.  The two generators, the 90
+    degree rotation and u -> -u, are the index maps of the
+    ``structured_mesh`` grid, whose vertex order snapping, repair and the
+    text format all keep: with nv = 2 n^2 + 2 n + 1, corner (i, j) is
+    vertex i (n + 1) + j and square centre (i, j) is (n + 1)^2 + i n + j;
+    the rotation sends corner (i, j) to (n - j, i) and centre (i, j) to
+    (n - 1 - j, i), the reflection corner (i, j) to (n - i, j) and centre
+    (i, j) to (n - 1 - i, j).  The mesh has the symmetry when each
+    generator moves every vertex within 1e-12 * side of its image and
+    every triangle onto a triangle with the same tag, so a mesh with an
+    off-centre fibre, a re-tagged triangle or another vertex order gets
+    None; the other six rows are the generators' products.
     """
+    nv = len(mesh.vertices)
+    n = (math.isqrt(max(2 * nv - 1, 0)) - 1) // 2
+    if 2 * n * n + 2 * n + 1 != nv:
+        return None
+    i, j = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    ci, cj = np.divmod(np.arange(n * n), n)
+
+    def grid(corner, centre):
+        # the vertex index of each corner's and each centre's image (i, j)
+        return np.concatenate([corner[0] * (n + 1) + corner[1],
+                               (n + 1) ** 2 + centre[0] * n + centre[1]])
+
+    rot = grid((n - j, i), (n - 1 - cj, ci))
+    flip = grid((n - i, j), (n - 1 - ci, cj))
     side = mesh.geometry.side
     centred = mesh.vertices - 0.5 * side
-    if not (np.abs(centred) <= side).all():
-        return None
     u, v = centred.T
-    nv = len(u)
-    # a grid far finer than the vertex spacing and far coarser than the
-    # mismatch: a moved vertex lands in its partner's cell or a neighbour
-    step = 1e-9 * side
-    width = 2 * int(side / step) + 3
-
-    def cell_keys(x, y, dx=0, dy=0):
-        return ((np.rint(x / step).astype(np.int64) + dx) * width
-                + np.rint(y / step).astype(np.int64) + dy)
 
     def triangle_keys(triangles):
+        # sorted, one per triangle from its sorted vertices and its tag (0 or 1)
         t = np.sort(triangles, axis=1)
-        return (t[:, 0] * nv + t[:, 1]) * nv + t[:, 2]
+        return np.sort(((t[:, 0] * nv + t[:, 1]) * nv + t[:, 2]) * 2 + mesh.tags)
 
-    keys = cell_keys(u, v)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    tri_keys = triangle_keys(mesh.triangles)
-    tri_order = np.argsort(tri_keys)
-    sorted_tri_keys = tri_keys[tri_order]
+    keys = triangle_keys(mesh.triangles)
 
-    def generator(x, y):
-        perm = np.full(nv, -1)
-        for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
-                       (1, 1), (1, -1), (-1, 1), (-1, -1)):
-            todo = np.flatnonzero(perm < 0)
-            if not todo.size:
-                break
-            want = cell_keys(x[todo], y[todo], dx, dy)
-            at = np.minimum(np.searchsorted(sorted_keys, want), nv - 1)
-            hit = sorted_keys[at] == want
-            perm[todo[hit]] = order[at[hit]]
-        if ((perm < 0).any() or (np.bincount(perm, minlength=nv) != 1).any()
-                or np.abs(centred[perm] - np.column_stack([x, y])).max() > 1e-12 * side):
-            return None
-        moved = triangle_keys(perm[mesh.triangles])
-        at = np.minimum(np.searchsorted(sorted_tri_keys, moved), len(moved) - 1)
-        if ((sorted_tri_keys[at] != moved).any()
-                or (mesh.tags[tri_order[at]] != mesh.tags).any()):
-            return None
-        return perm
+    def symmetry(perm, x, y):
+        return (np.abs(centred[perm] - np.column_stack([x, y])).max() <= 1e-12 * side
+                and np.array_equal(triangle_keys(perm[mesh.triangles]), keys))
 
-    rot = generator(-v, u)
-    flip = None if rot is None else generator(-u, v)
-    if flip is None:
+    if not (symmetry(rot, -v, u) and symmetry(flip, -u, v)):
         return None
     rot2 = rot[rot]
     rot3 = rot[rot2]

@@ -28,7 +28,7 @@ from .assembly import (CellOperators, assemble_1d, assemble_dirichlet_disk,
 from .config import write_json as _write_json, write_table
 from .eigensolve import (EigenPair, dense_eigen_oracle, residual_gate,
                          smallest_eigenpairs)
-from .geometry import CellGeometry, vertical_eigenvalues
+from .geometry import CellGeometry, is_number, vertical_eigenvalues
 from .limit import (DispersionParams, LimitRoot, limit_eigenvalues, u0_eval)
 from .mesh import TriMesh, generate_mesh
 
@@ -157,7 +157,9 @@ def _lazy_merge(operators: CellOperators, eps: float, gammas: dict, k: int,
     """The k smallest eigenpairs over the mode pencils of the vertical
     eigenvalues ``gammas``, a {label j: gamma_j} map in ascending order of
     gamma_j, as (value, j, pair) sorted by (value, j), each pencil
-    assembled from the operator set ``operators`` of a mesh.
+    assembled from the operator set ``operators``, a mesh's or a
+    projection of one.  k must be an int >= 1 by ``is_number`` (so no
+    bool), or ValueError is raised.
 
     Each mode pencil is solved on the symmetry sectors of
     ``operators.sectors``, each a pencil of the projected operator set, in
@@ -177,12 +179,16 @@ def _lazy_merge(operators: CellOperators, eps: float, gammas: dict, k: int,
     mesh, and an E pair counts twice, its second copy being the first
     turned by 90 degrees.  Each lifted pair's residual is
     taken on the whole pencil: above ``tol`` it raises
-    EigenConvergenceError, even where the sector pencil passed.  A mesh
-    without the symmetry, or a k that fills a sector, is solved as one
-    sector with P = I, which is the whole pencil.  One DEBUG log line per
+    EigenConvergenceError, even where the sector pencil passed.  A set
+    without the symmetry (a projection, or a mesh's set that
+    ``CellOperators.sectors`` leaves whole), or a k that fills a sector,
+    is solved as one sector with P = I on the set itself, which is the
+    whole pencil.  One DEBUG log line per
     call gives the ceiling, the pencils solved, the sectors dropped and
     the lifted pairs returned against those kept.
     """
+    if not (is_number(k, int) and k >= 1):
+        raise ValueError(f"k must be >= 1 and an int, got {k!r}")
     live = operators.sectors
     if any(-(-k // sector.copies) >= sector_ops.shape[0] for sector, sector_ops in live):
         live = [(whole_sector(operators.shape[0]), operators)]
@@ -196,7 +202,8 @@ def _lazy_merge(operators: CellOperators, eps: float, gammas: dict, k: int,
         solving, live = live, []
         for sector, sector_ops in solving:
             bound = min(top, merged[-1][0] * (1 + 1e-8)) if len(merged) == k else ceiling
-            K_s, M_s = assemble_mode_pencil(sector_ops, eps, gamma)
+            K_s, M_s = ((K, M) if sector_ops is operators
+                        else assemble_mode_pencil(sector_ops, eps, gamma))
             pairs = smallest_eigenpairs(K_s, M_s, -(-k // sector.copies), tol=tol,
                                         below=bound)
             solved += 1

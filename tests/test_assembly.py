@@ -239,7 +239,13 @@ def _fiber_part_off_the_matrix(geometry):
     (lambda g: fc.assemble_dirichlet_disk(_fiber_part_off_the_matrix(g)),
      "no fiber/matrix interface on a part of the fiber"),
     (lambda g: fc.assemble_dirichlet_disk(_fiber_inside_the_matrix(g)),
-     "no interior disk nodes")])
+     "no interior disk nodes"),
+    # L = -1 gave a negative-definite pair, L = NaN NaN entries and n = 2.5
+    # a bare numpy TypeError
+    (lambda g: fc.assemble_1d(4, -1.0), r"L must be a finite number > 0, got -1\.0"),
+    (lambda g: fc.assemble_1d(4, math.nan), "L must be a finite number > 0, got nan"),
+    (lambda g: fc.assemble_1d(2.5, 1.0),
+     r"need at least 2 intervals, and an int, got 2\.5")])
 def test_refusals(geometry, call, match):
     with pytest.raises(ValueError, match=match):
         call(geometry)
@@ -279,8 +285,19 @@ def test_asymmetric_meshes_are_one_sector(mesh16):
         assert abs(sector.basis - sp.identity(len(mesh.vertices))).max() == 0
 
 
+def test_a_set_without_the_symmetry_is_its_own_sector(mesh16):
+    # an off-centre mesh's set and a projection, which has no mesh, are
+    # one whole sector each, served by the set itself: no copy is made
+    off_centre = fc.generate_mesh(fc.CellGeometry(center=(0.5, 0.500001)), 16)
+    projected = fc.CellOperators(mesh16).project(sp.identity(len(mesh16.vertices)))
+    for ops in (fc.CellOperators(off_centre), projected):
+        ((sector, sector_ops),) = ops.sectors
+        assert sector.name == "whole" and sector.copies == 1 and sector_ops is ops
+        assert abs(sector.basis - sp.identity(ops.shape[0])).max() == 0
+
+
 def test_projection_onto_the_identity_is_exact(mesh16):
-    # so a mesh without the symmetry keeps today's pencils to the bit
+    # B = I gives back this set's parts and pattern to the bit
     ops = fc.CellOperators(mesh16)
     same = ops.project(sp.identity(len(mesh16.vertices)))
     assert same.shape == ops.shape and same.mesh is None

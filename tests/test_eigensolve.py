@@ -365,6 +365,16 @@ def _no_convergence(*args, **kwargs):
     (lambda: fc.factorize_spd(np.ones((2, 3))), ValueError, "must be square"),
     (lambda: fc.dense_eigen_oracle(np.eye(3), np.eye(3), count=0), ValueError,
      "count must be >= 1"),
+    # a count of 2.5 gave 2 values and True 1
+    (lambda: fc.dense_eigen_oracle(np.eye(3), np.eye(3), count=2.5), ValueError,
+     r"count must be >= 1 and an int, got 2\.5"),
+    (lambda: fc.dense_eigen_oracle(np.eye(3), np.eye(3), count=True), ValueError,
+     "count must be >= 1 and an int, got True"),
+    # k = 2.5 raised SystemError from ARPACK and k = True a TypeError
+    (lambda: fc.smallest_eigenpairs(np.diag(np.arange(1.0, 41.0)), np.eye(40), 2.5),
+     ValueError, r"k must be >= 1 and an int, got 2\.5"),
+    (lambda: fc.smallest_eigenpairs(np.diag(np.arange(1.0, 41.0)), np.eye(40), True),
+     ValueError, "k must be >= 1 and an int, got True"),
     (lambda: fc.smallest_eigenpairs(sp.diags(np.arange(1.0, 41.0)).tocsr(),
                                     sp.identity(40, format="csr"), 3),
      EigenConvergenceError, "only 0 of 3 eigenpairs converged")])

@@ -414,6 +414,11 @@ def test_golden_mu0(params):
 
 @pytest.mark.parametrize("call,match", [
     (lambda params: disk_radial_eigendata(0.25, 0), "at least one mode"),
+    # r = -1 gave the r = 1 table, n = True one mode
+    (lambda params: disk_radial_eigendata(-1.0, 2),
+     r"r must be a finite number > 0, got -1\.0"),
+    (lambda params: disk_radial_eigendata(0.25, True),
+     "at least one mode, and an int, got True"),
     (lambda params: u0_eval(10.0, [0.0, 0.26], 0.25), r"rho must lie in \[0, r\]"),
     (lambda params: u0_eval(10.0, -1e-3, 0.25), r"rho must lie in \[0, r\]"),
     (lambda params: limit_eigenvalues(params, 0), "j_max must be >= 1"),

@@ -347,5 +347,22 @@ def test_asymmetric_meshes_have_no_permutations(mesh16):
     tags[np.flatnonzero(tags == FIBER)[0]] = MATRIX
     assert d4_permutations(replace(mesh16, tags=tags)) is None
     far = mesh16.vertices.copy()
-    far[0] = (1e12, 1e12)  # outside the cell: refused before any grid key
+    far[0] = (1e12, 1e12)  # outside the cell, so far from its image
     assert d4_permutations(replace(mesh16, vertices=far)) is None
+
+
+# sha256 of d4_permutations(mesh).tobytes(): the grid's index maps, so one
+# digest per n_div at every centred radius
+GOLDEN_PERMUTATIONS = {
+    16: "6efba372e2c9e25985c736df6841f1f7670f6feed21d9ef0041c3939a20a43c4",
+    32: "06ea4cf6dae94caf6a5ffa58eb0e5122522e53724185b8990471ed59afa346e3",
+    64: "19b2cde4dde6cb26ab1b826af37a8143f8e58864d7e9b7dde92954ed7e83a729",
+    128: "c30f2a37dc1d5d5e6793c64fd88f5ceeefbefaff2c611ac3e646efc6d0e9a819",
+}
+
+
+@pytest.mark.parametrize("radius", [0.2496, 0.25])
+@pytest.mark.parametrize("n_div", sorted(GOLDEN_PERMUTATIONS))
+def test_golden_permutations(radius, n_div):
+    perms = d4_permutations(fc.generate_mesh(fc.CellGeometry(radius=radius), n_div))
+    assert hashlib.sha256(perms.tobytes()).hexdigest() == GOLDEN_PERMUTATIONS[n_div]

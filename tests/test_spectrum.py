@@ -1,13 +1,16 @@
 import logging
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fibercell as fc
 from fibercell import eigensolve, spectrum
 from fibercell.assembly import symmetry_sectors
-from fibercell.mesh import TriMesh
+from fibercell.mesh import TriMesh, d4_permutations
 
 
 def test_uniform_mode_ground_state(mesh16):
@@ -193,6 +196,30 @@ def test_off_centre_merge_matches_dense_whole_pencils():
                 Kv = K @ e.pair.vector
                 residual = np.linalg.norm(Kv - e.value * (M @ e.pair.vector))
                 assert e.pair.residual == residual / np.linalg.norm(Kv) <= 1e-9
+
+
+def test_merge_runs_on_a_projection(mesh12):
+    # a projection has no mesh, so it is its own whole sector; the merge
+    # used to raise AttributeError reading its mesh
+    ops = fc.CellOperators(mesh12)
+    same = ops.project(sp.identity(len(mesh12.vertices)))
+    gammas = {1: math.pi ** 2}
+    a = spectrum._lazy_merge(same, 0.5, gammas, 3, 1e-9)
+    b = spectrum._lazy_merge(ops, 0.5, gammas, 3, 1e-9)
+    assert [value for value, _, _ in a] == pytest.approx([value for value, _, _ in b],
+                                                         rel=1e-10)
+
+
+def test_renumbered_mesh_merges_whole(mesh16):
+    # the D4 permutations are the grid's index maps, so mesh16 in another
+    # vertex order has none; its whole pencils give the sectors' values
+    order = np.random.default_rng(7).permutation(len(mesh16.vertices))
+    renumbered = replace(mesh16, vertices=mesh16.vertices[order],
+                         triangles=np.argsort(order)[mesh16.triangles])
+    assert d4_permutations(renumbered) is None
+    values = [e.value for e in fc.merged_spectrum(renumbered, 0.2, 8)]
+    assert values == pytest.approx([e.value for e in fc.merged_spectrum(mesh16, 0.2, 8)],
+                                   rel=1e-10)
 
 
 def test_ceiling_below_the_kth_value_raises(mesh16, monkeypatch):
@@ -531,7 +558,12 @@ def test_report_files(tmp_path, geometry):
     # the discrete merge clamped k to the vertex count; it now has the
     # production contract
     (lambda mesh: fc.discrete_mode_merge(mesh, 8, 0.2, len(mesh.vertices)),
-     "must be smaller than the pencil size")])
+     "must be smaller than the pencil size"),
+    # k = 0 raised IndexError from the merge's last value, k = True ran as 1
+    (lambda mesh: fc.mode_spectrum(mesh, 0.5, 1, 1.0, 0), "k must be >= 1 and an int, got 0"),
+    (lambda mesh: fc.mode_spectrum(mesh, 0.5, 1, 1.0, True),
+     "k must be >= 1 and an int, got True"),
+    (lambda mesh: fc.discrete_mode_merge(mesh, 8, 0.5, 0), "k must be >= 1 and an int")])
 def test_refusals(mesh12, call, match):
     with pytest.raises(ValueError, match=match):
         call(mesh12)

@@ -9,19 +9,31 @@ below sigma (``inertia_count``).  Given a bound sigma, that one
 factorization both counts and drives ARPACK at s = sigma, whose negative
 values 1/(lambda - sigma) are exactly the eigenvalues below sigma (the
 spectral transformation of Ericsson and Ruhe, used with the inertia as in
-the shifted block Lanczos of Grimes, Lewis and Simon).  Without a bound,
-or where the bound's factor cannot serve (more than k values below it, or
-a missed residual check), ARPACK runs at s = 0 on a factor of K, with
-sigma just below the k-th value.  The first round starts from the
-all-ones vector; only when it found fewer values below sigma than the
-count do seeded rounds on the projected solve recover the degenerate
-copies a single Krylov space misses.  One Rayleigh-Ritz step on
-everything accepted gives the pairs, and every returned pair passes an
-explicit residual check.  A dense LAPACK oracle (``scipy.linalg.eigh``)
-covers every pencil small enough to afford it and cross-checks the
-iterative path in the validation suite.  Every entry point reads K and M,
-dense or sparse, through ``scipy.sparse.csr_matrix``, which keeps a CSR
-input's arrays without copying them.
+the shifted block Lanczos of Grimes, Lewis and Simon); with up to four
+more than k values below sigma the round takes them all and the k
+smallest are kept.  Without a bound, or where the bound's factor cannot
+serve (more values below it, or a missed residual check), ARPACK runs at
+s = 0 on a factor of K, with sigma just below the k-th value.  The first
+round starts from the all-ones vector; only when it found fewer values
+below sigma than the count do seeded rounds on the projected solve
+recover the degenerate copies a single Krylov space misses.  A round of
+``width`` pairs builds a Krylov space of ncv = min(n, 2 width + 4)
+Lanczos vectors.  The ARPACK Users' Guide (Lehoucq, Sorensen and Yang,
+SIAM 1998) asks for ncv >= 2 nev, so that each implicit restart keeps the
+wanted Ritz vectors and filters at least as many unwanted ones; four to
+spare cost fewer solves than one (283 against 337 on the default sweep).
+Shift-invert puts the wanted values far out at the end of the spectrum of
+(K - s M)^-1 M, so a small space converges in few restarts.  scipy's
+default, max(2 width + 1, 20), made the width-1 and width-2 rounds that a
+bound leaves restart 20 vectors, at 2.4 times the solves and products
+with M on the default sweep; a width-8 round keeps its 20.  One
+Rayleigh-Ritz step on everything accepted gives the pairs, and every
+returned pair passes an explicit residual check.  A dense LAPACK oracle
+(``scipy.linalg.eigh``) covers every pencil small enough to afford it and
+cross-checks the iterative path in the validation suite.  Every entry
+point reads K and M, dense or sparse, through
+``scipy.sparse.csr_matrix``, which keeps a CSR input's arrays without
+copying them.
 """
 
 from __future__ import annotations
@@ -169,14 +181,23 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
 
     With ``below``, its factorization of K - below M, made before any
     solve, counts the c eigenvalues below it, and c = 0 returns [] without
-    an ARPACK round.  For 0 < c <= k the same factor drives ARPACK at the
-    shift s = ``below``, where round 0 asks for the c smallest
-    nu = 1/(lambda - s): the c negative ones are exactly the c eigenvalues
-    below s.  Otherwise (c > k, where the window at s would hold the k
-    values nearest s, not the k smallest; or that solve raised
-    EigenConvergenceError, as a bound right next to the spectrum can cost
-    the far end of the window its last digits) the factor is released and
-    the pencil is solved as without ``below`` for min(k, c) pairs.
+    an ARPACK round.  For 0 < c <= k + 4 (and c < n) the same factor
+    drives ARPACK at the shift s = ``below``, where round 0 asks for the c
+    smallest nu = 1/(lambda - s): the c negative ones are exactly the c
+    eigenvalues below s, certified by the count already made, and the
+    min(k, c) smallest are returned.  For c > k that round is c wide, not
+    k, since a window of k at s would hold the k values nearest s, not the
+    k smallest.  It replaces two factorizations, of K for a shift-0 solve
+    and of K - sigma M again for its count; on mode 1's sector A1 at
+    eps 1.0 (n_div 64 and 128, k 1 to 12) it took 0.56-0.92 of their time
+    for c - k <= 4 and 1.03-1.43 for c - k >= 8, hence the cap.  Under
+    the ceiling of ``merged_spectrum`` at eps 1.0 on the default cell that
+    pencil counts c = 3, 4, 9-11 and 16-21 at k = 1, 3, 8 and 12.
+    Otherwise (c > k + 4, c = n, or that solve raised
+    EigenConvergenceError, as a bound far above the smallest value or
+    right next to the spectrum can cost the far end of the window its last
+    digits) the factor is released and the pencil is solved as without
+    ``below`` for min(k, c) pairs.
 
     A Krylov space carries one vector per eigenspace, so while fewer than c
     accepted values lie below s, up to six more rounds of max(2, k // 2)
@@ -201,11 +222,11 @@ def smallest_eigenpairs(K, M, k: int, tol: float = 1e-9,
         lu, count = _shifted_lu(K, M, below)
         if count == 0:
             logger.debug("pencil n=%d shift=%.10g sigma=%.10g count=0 found=0 "
-                         "fallback rounds=0", n, below, below)
+                         "fallback rounds=0 solves=0 ncv=0", n, below, below)
             return []
-        if count <= k:
+        if count <= min(k + 4, n - 1):
             try:
-                return _certified_pairs(K, M, count, tol, (below, lu))
+                return _certified_pairs(K, M, count, tol, (below, lu))[:k]
             except EigenConvergenceError as exc:
                 logger.debug("pencil n=%d missed at shift=%.10g, solved "
                              "without the bound: %s", n, below, exc)
@@ -217,11 +238,20 @@ def _certified_pairs(K, M, k: int, tol: float, shifted=None):
     """The rounds, Rayleigh-Ritz step and residual gate of
     ``smallest_eigenpairs``: ``shifted`` is (sigma, factor of K - sigma M)
     for a pencil with exactly k eigenvalues below sigma, or None for
-    shift 0 on a factor of K made here and a count below the k-th value."""
+    shift 0 on a factor of K made here and a count below the k-th value.
+    Its DEBUG line per pencil ends with the solves with the factors, over
+    every round, and round 0's Krylov size ncv."""
     n = K.shape[0]
     rng = np.random.default_rng(20240817)
     shift, factor = shifted or (0.0, factorize_spd(K))
-    values, V = _arpack_round(K, M, factor.solve, k, np.ones(n), tol, rng, 0, shift)
+    solves = 0
+
+    def shift_solve(b):
+        nonlocal solves
+        solves += 1
+        return factor.solve(b)
+
+    values, V = _arpack_round(K, M, shift_solve, k, np.ones(n), tol, rng, 0, shift)
     sigma, count = shift, k
     if shifted is None:
         # certify everything strictly below the k-th value; the count
@@ -247,7 +277,7 @@ def _certified_pairs(K, M, k: int, tol: float, shifted=None):
         MV = M @ V
 
         def solve(b, V=V, MV=MV):
-            x = factor.solve(b - MV @ (V.T @ b))
+            x = shift_solve(b - MV @ (V.T @ b))
             return x - V @ (MV.T @ x)
 
         vals, vecs = _arpack_round(K, M, solve, width, rng.standard_normal(n),
@@ -257,7 +287,8 @@ def _certified_pairs(K, M, k: int, tol: float, shifted=None):
         V = np.column_stack((V, vecs[:, new]))
         found += int(np.count_nonzero(new))
     logger.debug("pencil n=%d shift=%.10g sigma=%.10g count=%d found=%d "
-                 "fallback rounds=%d", n, shift, sigma, count, found, rounds)
+                 "fallback rounds=%d solves=%d ncv=%d", n, shift, sigma, count,
+                 found, rounds, solves, _krylov_size(n, k))
 
     values, C = scipy.linalg.eigh(V.T @ (K @ V), V.T @ (M @ V),
                                   subset_by_index=[0, k - 1])
@@ -281,21 +312,31 @@ def _arpack_round(K, M, solve, width: int, start, tol: float, rng, round_, shift
     """``width`` Ritz pairs of the pencil from one eigsh call in
     shift-invert mode at ``shift``, with ``solve`` in place of
     (K - shift M)^-1: the largest nu = 1/lambda at shift 0, else the
-    smallest nu = 1/(lambda - shift), the negative ones lying below it."""
+    smallest nu = 1/(lambda - shift), the negative ones lying below it.
+    The Krylov space holds ``_krylov_size(n, width)`` vectors."""
     n = K.shape[0]
+    ncv = _krylov_size(n, width)
     op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
     # ARPACK stops on a Ritz estimate for the shifted inverse, not on the
     # pencil residual, so it runs at a tenth of tol; rng seeds the vectors
     # it draws when its Krylov space becomes invariant
     try:
         vals, vecs = eigsh(K, width, M=M, sigma=shift, which="SA" if shift else "LM",
-                           OPinv=op_inv, v0=start, tol=0.1 * tol, rng=rng)
+                           OPinv=op_inv, v0=start, ncv=ncv, tol=0.1 * tol, rng=rng)
     except ArpackNoConvergence as exc:
         raise EigenConvergenceError(
             f"only {len(exc.eigenvalues)} of {width} eigenpairs "
             f"converged") from exc
-    logger.debug("arpack round %d k=%d values %s", round_, width, vals)
+    logger.debug("arpack round %d k=%d ncv=%d values %s", round_, width, ncv, vals)
     return vals, vecs
+
+
+def _krylov_size(n: int, width: int) -> int:
+    """ncv of a round of ``width`` pairs on a pencil of size n: 2 width + 4,
+    the ARPACK Users' Guide's ncv >= 2 nev with four to spare (the module
+    docstring says why), and at most n, which eigsh allows beside
+    width < n."""
+    return min(n, 2 * width + 4)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

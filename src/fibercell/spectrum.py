@@ -136,10 +136,14 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     mesh that ``assemble_dirichlet_disk`` refuses is refused here too.
 
     At eps near 1 more than k_total values of mode 1's first sector lie
-    below the ceiling, so that pencil pays the count's factor and then the
-    shift-0 path of ``smallest_eigenpairs``: at eps 1.0, 15
-    ``_symmetric_lu`` calls against 14 without the ceiling, on n_div 12
-    and 64 alike.  ``validate`` and the ceiling tests run at eps 1.0; the
+    below the ceiling: c = 9 to 11 at k_total 8.  ``smallest_eigenpairs``
+    takes up to k_total + 4 of them in one round on the count's factor and
+    keeps the k_total smallest, so at eps 1.0 and k_total 8 the merge
+    makes 15 ``_symmetric_lu`` calls, the disk solve's among them, against
+    14 without the ceiling (and 17 when that pencil paid the count's
+    factor and then the shift-0 path), on n_div 12, 16 and 64 alike.  A
+    larger c (18 and 21 at k_total 12 on n_div 16 and 64) still takes the
+    shift-0 path.  ``validate`` and the ceiling tests run at eps 1.0; the
     default sweep (eps <= 0.4) does not.
     """
     gammas = vertical_eigenvalues(k_total, mesh.geometry.height, "k_total")

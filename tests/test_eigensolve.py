@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 import fibercell as fc
 from fibercell import NotSPDError, eigensolve
@@ -325,6 +326,65 @@ def test_a_pencil_releases_each_factor_before_the_next(monkeypatch):
     pairs = fc.smallest_eigenpairs(double, eye, 3)
     assert [p.value for p in pairs] == pytest.approx([1, 1, 2])
     assert calls == ["splu", "free", "splu", "free", "splu", "free"]
+
+
+def test_a_few_values_more_than_k_share_the_bound_factor(monkeypatch):
+    # up to k + 4 values below the bound: one round of that width on the
+    # count's factor, and the k smallest kept; the pencil used to release
+    # that factor, factor K for a shift-0 round and K - sigma M again for
+    # its count.  More than k + 4 still take that path
+    calls = []
+    real_splu, real_eigsh = eigensolve.splu, eigensolve.eigsh
+    monkeypatch.setattr(eigensolve, "splu",
+                        lambda *a, **kw: calls.append("splu") or real_splu(*a, **kw))
+    monkeypatch.setattr(eigensolve, "eigsh",
+                        lambda A, k, **kw: calls.append(k) or real_eigsh(A, k, **kw))
+    K = sp.diags(np.arange(1.0, 41.0)).tocsr()
+    eye = sp.identity(40, format="csr")
+    pairs = fc.smallest_eigenpairs(K, eye, 3, below=7.5)
+    assert [p.value for p in pairs] == pytest.approx([1, 2, 3], rel=1e-12)
+    assert calls == ["splu", 7]
+    calls.clear()
+    pairs = fc.smallest_eigenpairs(K, eye, 3, below=8.5)
+    assert [p.value for p in pairs] == pytest.approx([1, 2, 3], rel=1e-12)
+    assert calls == ["splu", "splu", 3, "splu"]
+
+
+def test_pencil_log_counts_its_solves_and_krylov_size(caplog, monkeypatch):
+    # the per-pencil DEBUG line ends with the solves with the factors, the
+    # projected rounds' included, and round 0's ncv = min(n, 2k + 4)
+    applied = []
+    real_eigsh = eigensolve.eigsh
+
+    def eigsh_spy(A, k, OPinv=None, **kwargs):
+        def solve(b):
+            applied.append(1)
+            return OPinv.matvec(b)
+        return real_eigsh(A, k, OPinv=LinearOperator(OPinv.shape, matvec=solve,
+                                                     dtype=float), **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
+    single = sp.diags(np.arange(1.0, 41.0)).tocsr()
+    double = sp.diags(np.r_[1.0, 1.0, np.arange(2.0, 40.0)]).tocsr()
+    eye = sp.identity(40, format="csr")
+    # shift 0 with a projected round for the double's second copy, then
+    # rounds of the count's width c at a bound: c = 3 > k and c = 2 < k
+    for K, k, below, ncv, rounds in ((double, 3, None, 10, 1), (single, 2, 3.5, 10, 0),
+                                     (single, 4, 2.5, 8, 0)):
+        applied.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="fibercell.eigensolve"):
+            fc.smallest_eigenpairs(K, eye, k, below=below)
+        pencil = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("pencil")]
+        assert len(pencil) == 1 and applied
+        assert pencil[0].endswith(f" fallback rounds={rounds} solves={len(applied)} "
+                                  f"ncv={ncv}")
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fibercell.eigensolve"):
+        assert fc.smallest_eigenpairs(single, eye, 2, below=0.5) == []
+    assert caplog.records[-1].getMessage().endswith(" count=0 found=0 fallback "
+                                                    "rounds=0 solves=0 ncv=0")
 
 
 def test_dense_pencils_read_as_their_csr_copies():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 import fibercell as fc
 from fibercell import eigensolve, spectrum
@@ -143,6 +144,53 @@ def test_merge_solves_only_counted_pairs(mesh16, monkeypatch):
     assert any(found for j, *_, found in pencils if j == 1)
 
 
+def test_each_round_sizes_its_krylov_space_to_its_width(mesh16, monkeypatch):
+    # every ARPACK round builds min(n, 2k + 4) Lanczos vectors for its k
+    # pairs: the merge applies the shifted inverse 63 times, where scipy's
+    # default of max(2k + 1, 20) vectors took 168
+    rounds, applied = [], []
+    eigsh = eigensolve.eigsh
+
+    def eigsh_spy(A, k, OPinv=None, **kwargs):
+        rounds.append((A.shape[0], k, kwargs.get("ncv")))
+
+        def solve(b):
+            applied.append(1)
+            return OPinv.matvec(b)
+
+        return eigsh(A, k, OPinv=LinearOperator(OPinv.shape, matvec=solve, dtype=float),
+                     **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
+    assert len(fc.merged_spectrum(mesh16, 0.2, 8)) == 8
+    assert rounds and all(ncv == min(n, 2 * k + 4) for n, k, ncv in rounds)
+    assert len(applied) <= 84
+
+
+def test_more_values_below_the_ceiling_than_k_share_its_factor(mesh12, monkeypatch):
+    # at eps 1.0 mode 1's sector A1 holds 9 values below the ceiling for
+    # k_total 8: one round of 9 on the count's factor keeps the 8 smallest,
+    # where the pencil used to release that factor, factor K for a shift-0
+    # round and K - sigma M again for its count (17 factorizations, the
+    # disk solve's among them)
+    ops = fc.CellOperators(mesh12)
+    ceiling = (spectrum._disk_mu1(ops, 1e-9) + (8 * math.pi) ** 2) * (1 + 1e-8)
+    assert fc.inertia_count(*fc.assemble_mode_pencil(ops.sectors[0][1], 1.0, math.pi ** 2),
+                            ceiling) == 9
+    calls, symmetric_lu = [], eigensolve._symmetric_lu
+    monkeypatch.setattr(eigensolve, "_symmetric_lu",
+                        lambda *a, **kw: calls.append(1) or symmetric_lu(*a, **kw))
+    merged = fc.merged_spectrum(mesh12, 1.0, 8)
+    assert len(calls) == 15
+    pencils = {j: fc.assemble_mode_pencil(ops, 1.0, (j * math.pi) ** 2) for j in range(1, 9)}
+    dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
+                   for rank, value in enumerate(
+                       fc.dense_eigen_oracle(K, M, count=8)[0], start=1))[:8]
+    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in dense]
+    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in dense], rel=1e-10)
+    assert all(e.pair.residual <= 1e-9 for e in merged)
+
+
 @pytest.mark.parametrize("k_total", [3, 8, 12])
 @pytest.mark.parametrize("eps", [1.0, 0.2, 0.05])
 @pytest.mark.parametrize("mesh_name", ["mesh12", "mesh16"])
@@ -153,12 +201,18 @@ def test_sector_merge_matches_dense_whole_pencils(mesh_name, eps, k_total, reque
     assert [sector.name for sector, _ in ops.sectors] == ["A1", "A2", "B1", "B2", "E"]
     pencils = {j: fc.assemble_mode_pencil(ops, eps, (j * math.pi) ** 2)
                for j in range(1, k_total + 1)}
-    dense = sorted((value, j, rank) for j, (K, M) in pencils.items()
-                   for rank, value in enumerate(
-                       fc.dense_eigen_oracle(K, M, count=k_total)[0], start=1))[:k_total]
+    dense = []
+    for j, (K, M) in pencils.items():
+        values, vectors = fc.dense_eigen_oracle(K, M, count=k_total)
+        # LAPACK's values round by up to 1e-10 relative at eps 0.05 (the
+        # mesh16 ground value by -9.8e-11 on one BLAS thread, +9.8e-11 on
+        # two); the Rayleigh quotients of its vectors stay within 2e-13
+        dense += [(value, j, rank, (v @ (K @ v)) / (v @ (M @ v)))
+                  for rank, (value, v) in enumerate(zip(values, vectors.T), start=1)]
+    dense = sorted(dense)[:k_total]
     merged = fc.merged_spectrum(mesh, eps, k_total, tol=1e-9)
-    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank in dense]
-    assert [e.value for e in merged] == pytest.approx([v for v, _, _ in dense], rel=1e-10)
+    assert [(e.j, e.rank) for e in merged] == [(j, rank) for _, j, rank, _ in dense]
+    assert [e.value for e in merged] == pytest.approx([q for *_, q in dense], rel=1e-10)
     for e in merged:
         K, M = pencils[e.j]
         v = e.pair.vector

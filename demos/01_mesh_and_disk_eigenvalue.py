@@ -38,7 +38,7 @@ for n_div in (16, 32, 64, 128):
 mesh = fc.generate_mesh(geometry, 64)
 print(f"\nn_div=64 mesh: {len(mesh.vertices)} vertices, "
       f"{len(mesh.triangles)} triangles, "
-      f"{len(mesh.interface_nodes)} interface nodes, shared by fiber and "
-      "matrix triangles")
+      f"{len(mesh.free_nodes)} free nodes, the disk interior, on no matrix "
+      "triangle")
 fc.write_mesh(mesh, "demo_mesh64.txt")
 print("wrote demo_mesh64.txt (header 'nv nt', vertices, 'i j k tag' rows)")

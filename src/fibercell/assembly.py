@@ -9,11 +9,13 @@ the mode problem, then scale and add those parts.  On a mesh with the
 symmetries of the square, the parts are also projected once onto the
 orthonormal basis of each D4 symmetry sector, where every pencil is again
 a weighted sum of four parts; any other set is its own whole sector.
+The projection onto ker K_M, the limit set, holds the fibre's Dirichlet
+pencil as its free block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -127,9 +129,11 @@ class CellOperators:
     Every mode pencil is assembled from a set passed in
     (``assemble_mode_pencil``): ``convergence_sweep`` and ``validate``
     build one set per mesh and share it over every pencil and eps of that
-    mesh.  ``mesh`` is the mesh the set was built from, and None for a set
-    made by ``project``.  ``disk_mu1`` maps an eigensolver tol to the
-    mesh's discrete disk value, filled by the merge that needs it.
+    mesh, the disk pencil included: it is the free block of ``limit``, a
+    projection of the set.  ``mesh`` is the mesh the set was built from,
+    and None for a set made by ``project``.  ``disk_mu1`` maps an
+    eigensolver tol to the mesh's discrete disk value, filled by the merge
+    that needs it.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -220,6 +224,23 @@ class CellOperators:
             return [(whole_sector(self.shape[0]), self)]
         return [(sector, self.project(sector.basis)) for sector in sectors]
 
+    @cached_property
+    def limit(self) -> CellOperators:
+        """This set projected onto ker K_M, on first read: by Z, whose
+        column 0 is the indicator of the nodes of the matrix triangles and
+        whose other columns are the unit vectors of the mesh's
+        ``free_nodes``, in node order.  Its block ``[1:, 1:]`` is the
+        pencil of the free nodes alone, which touch only fiber triangles.
+        Raises ValueError on a set made by ``project``, which has no mesh
+        to read Z from."""
+        if self.mesh is None:
+            raise ValueError("a projected operator set has no mesh, so no limit set")
+        n, free = self.shape[0], self.mesh.free_nodes
+        column = np.zeros(n, dtype=np.int64)
+        column[free] = np.arange(1, len(free) + 1)
+        return self.project(sp.csr_matrix((np.ones(n), column, np.arange(n + 1)),
+                                          shape=(n, len(free) + 1)))
+
     def _csr(self, data: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
@@ -262,53 +283,46 @@ def assemble_mode_pencil(operators: CellOperators, eps: float, gamma: float):
             ops._csr(ops.mass_fiber + ops.mass_matrix))
 
 
-def assemble_dirichlet_disk(mesh: TriMesh):
-    """Unit-weight stiffness/mass over the fiber triangles, restricted to
-    the fiber nodes that touch no matrix triangle, where ker K_M, the
-    kernel of the matrix stiffness, leaves a function free.  The
-    ``interface_nodes``, shared by fiber and matrix triangles, carry the
-    homogeneous Dirichlet condition, so the first eigenvalue of the pair
-    is mu1_h, the pole of delta_h, the mesh copy of delta.
+def assemble_dirichlet_disk(operators: CellOperators):
+    """The Dirichlet pencil of the fitted disk: the block ``[1:, 1:]`` of
+    ``operators.limit``, unit-weight stiffness and mass over the mesh's
+    ``free_nodes``, where ker K_M, the kernel of the matrix stiffness,
+    leaves a function free.  They touch no matrix triangle, so the nodes
+    of the matrix triangles carry the homogeneous Dirichlet condition,
+    and the first eigenvalue of the pair is mu1_h, the pole of delta_h,
+    the mesh copy of delta.
 
     Returns
     -------
-    (K_D, M_D, interior) where ``interior`` maps reduced indices to mesh
-    vertex indices.
+    (K_D, M_D, free) where ``free`` maps reduced indices to mesh vertex
+    indices.
 
     Raises
     ------
     ValueError
-        If the mesh has no fiber triangle, if a connected part of the
-        fiber triangles shares no vertex with a matrix triangle (no node of
-        that part would carry the Dirichlet condition, and K_D would be
-        singular), or if every fiber vertex lies on the interface.
+        If ``operators`` has no mesh (``CellOperators.limit``); if the
+        mesh's tags hold no fiber triangle; if a free node is not joined to
+        column 0 of the limit set, the matrix nodes, in the graph of its
+        mass (a connected part of the fiber with no vertex on a matrix
+        triangle: no node of it would carry the Dirichlet condition, and
+        K_D would be singular); or if fewer than 2 nodes are free, which
+        leaves no pencil to solve.
     """
     from scipy.sparse.csgraph import connected_components
 
-    fiber_tris = mesh.triangles[mesh.tags == FIBER]
-    if len(fiber_tris) == 0:
+    limit = operators.limit
+    if not (operators.mesh.tags == FIBER).any():
         raise ValueError("mesh has no fiber triangles")
-    used = np.unique(fiber_tris)
-    n = len(mesh.vertices)
-    on_interface = np.zeros(n, dtype=bool)
-    on_interface[mesh.interface_nodes] = True
-    edges = sp.coo_matrix((np.ones(2 * len(fiber_tris)),
-                           (fiber_tris[:, :2].ravel(), fiber_tris[:, 1:].ravel())),
-                          shape=(n, n))
-    _, part = connected_components(edges, directed=False)
-    if not np.isin(part[used], part[on_interface]).all():
+    M = limit.mass(1.0, 1.0)
+    if connected_components(M, directed=False)[0] > 1:
         raise ValueError("no fiber/matrix interface on a part of the fiber: none "
                          "of its vertices touches a matrix triangle, so none "
                          "carries the Dirichlet condition")
-    interior = used[~on_interface[used]]
-    if len(interior) == 0:
-        raise ValueError("no interior disk nodes; mesh too coarse")
-
-    ops = CellOperators(replace(mesh, triangles=fiber_tris,
-                                tags=np.full(len(fiber_tris), FIBER)))
-    K_D = ops.stiffness(1.0, 1.0)[interior][:, interior].tocsr()
-    M_D = ops.mass(1.0, 1.0)[interior][:, interior].tocsr()
-    return K_D, M_D, interior
+    free = operators.mesh.free_nodes
+    if len(free) < 2:
+        raise ValueError(f"{len(free)} interior disk node, too few for a disk pencil"
+                         if len(free) else "no interior disk nodes; mesh too coarse")
+    return limit.stiffness(1.0, 1.0)[1:, 1:], M[1:, 1:], free
 
 
 def assemble_1d(n: int, L: float):

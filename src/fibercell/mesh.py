@@ -81,10 +81,11 @@ class TriMesh:
     tags : (nt,) int array
         FIBER (0) or MATRIX (1) per triangle.
     geometry : CellGeometry
-    interface_nodes : int array (derived)
-        Indices of the vertices of both a fiber and a matrix triangle, read
-        from ``triangles`` and ``tags`` alone.  The other fiber vertices
-        touch no matrix triangle.
+    free_nodes : int array (derived)
+        Indices of the vertices of no matrix triangle, in order: where
+        ker K_M, the kernel of the matrix stiffness, leaves a function
+        free.  Read from ``triangles`` and ``tags`` alone; the other fiber
+        vertices are the interface nodes, of a matrix triangle too.
     areas() : (nt,) float array (derived)
         Signed triangle areas.
     midpoint_rule : MidpointRule (derived)
@@ -97,12 +98,9 @@ class TriMesh:
     geometry: CellGeometry
 
     @cached_property
-    def interface_nodes(self) -> np.ndarray:
-        # row FIBER (0) marks the vertices of fiber triangles, row MATRIX (1)
-        # those of matrix triangles
-        touched = np.zeros((2, len(self.vertices)), dtype=bool)
-        touched[self.tags[:, None], self.triangles] = True
-        return np.flatnonzero(touched.all(axis=0))
+    def free_nodes(self) -> np.ndarray:
+        matrix = self.triangles[self.tags == MATRIX].ravel()
+        return np.flatnonzero(np.bincount(matrix, minlength=len(self.vertices)) == 0)
 
     @cached_property
     def _areas(self) -> np.ndarray:
@@ -465,8 +463,8 @@ def read_mesh(path, geometry: CellGeometry) -> TriMesh:
 
     Raises ValueError, naming the path, unless the header ``nv nt`` (both
     positive) is followed by exactly nv vertex rows of 2 finite coordinates
-    and nt triangle rows of 4, every vertex index lies in [0, nv) and every
-    tag is FIBER or MATRIX.
+    and nt triangle rows of 4, every vertex index lies in [0, nv), every
+    vertex is used by a triangle and every tag is FIBER or MATRIX.
     """
     with open(path) as fh:
         header, rows = fh.readline(), fh.read().splitlines()
@@ -485,6 +483,8 @@ def read_mesh(path, geometry: CellGeometry) -> TriMesh:
             raise ValueError("a vertex coordinate is not finite")
         if table[:, :3].min() < 0 or table[:, :3].max() >= nv:
             raise ValueError(f"a vertex index lies outside [0, {nv})")
+        if len(unused := np.setdiff1d(np.arange(nv), table[:, :3])):
+            raise ValueError(f"vertex {unused[0]} is used by no triangle")
         if not np.isin(table[:, 3], (FIBER, MATRIX)).all():
             raise ValueError(f"a tag is neither {FIBER} (fiber) nor {MATRIX} (matrix)")
     except ValueError as err:

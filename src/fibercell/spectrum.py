@@ -129,11 +129,12 @@ def merged_spectrum(mesh: TriMesh, eps: float, k_total: int, tol: float = 1e-9,
     bound the k-th merged value by mode k_total's own.
 
     The merge runs under the ceiling (mu1_h + eps^2 gamma_k_total)(1 + 1e-8),
-    with mu1_h this mesh's disk value (``discrete_disk_mu1``), solved once
-    per operator set and tol: the disk vector vanishes on every matrix
-    node, so its Rayleigh quotient in mode j is mu1_h + eps^2 gamma_j and
-    by min-max modes 1..k_total each hold a value below the ceiling.  A
-    mesh that ``assemble_dirichlet_disk`` refuses is refused here too.
+    with mu1_h this mesh's disk value (``_disk_mu1``), read from the free
+    block of the set's ``limit`` and solved once per set and tol: the
+    disk vector vanishes on every matrix node, so its Rayleigh quotient in
+    mode j is mu1_h + eps^2 gamma_j and by min-max modes 1..k_total each
+    hold a value below the ceiling.  A mesh that
+    ``assemble_dirichlet_disk`` refuses is refused here too.
 
     At eps near 1 more than k_total values of mode 1's first sector lie
     below the ceiling: c = 9 to 11 at k_total 8.  ``smallest_eigenpairs``
@@ -310,18 +311,21 @@ def eigenvector_error(pair: EigenPair, j: int, root: LimitRoot, mesh: TriMesh):
 
 def discrete_disk_mu1(mesh: TriMesh, tol: float = 1e-9) -> float:
     """mu1_h, the first Dirichlet eigenvalue of the fitted disk on this
-    mesh and the pole of delta_h, the mesh copy of delta.  The disk
-    interior is the set of fiber nodes that touch no matrix triangle,
-    where ker K_M leaves a function free (``assemble_dirichlet_disk``)."""
-    K_D, M_D, _ = assemble_dirichlet_disk(mesh)
-    return smallest_eigenpairs(K_D, M_D, 1, tol=tol)[0].value
+    mesh and the pole of delta_h, the mesh copy of delta: ``_disk_mu1`` on
+    a CellOperators set of ``mesh`` built here.  The disk interior is the
+    mesh's ``free_nodes``, where ker K_M leaves a function free
+    (``assemble_dirichlet_disk``)."""
+    return _disk_mu1(CellOperators(mesh), tol)
 
 
 def _disk_mu1(operators: CellOperators, tol: float) -> float:
-    """``discrete_disk_mu1`` of the operator set's mesh at ``tol``, kept in
-    ``operators.disk_mu1`` so the eps of one sweep share one solve."""
+    """The smallest eigenvalue at ``tol`` of the disk pencil of the
+    operator set, the free block of ``operators.limit``
+    (``assemble_dirichlet_disk``), kept in ``operators.disk_mu1`` so the
+    eps of one sweep share one solve."""
     if tol not in operators.disk_mu1:
-        operators.disk_mu1[tol] = discrete_disk_mu1(operators.mesh, tol=tol)
+        K_D, M_D, _ = assemble_dirichlet_disk(operators)
+        operators.disk_mu1[tol] = smallest_eigenpairs(K_D, M_D, 1, tol=tol)[0].value
     return operators.disk_mu1[tol]
 
 

@@ -161,7 +161,7 @@ def test_criterion_10_eigensolver_oracle(geometry, mesh16):
             pencils.append((f"mode eps={eps} j={j}", K, M, 6))
     K1, M1 = fc.assemble_1d(64, 1.0)
     pencils.append(("1d interval", K1, M1, 4))
-    K_D, M_D, _ = fc.assemble_dirichlet_disk(mesh16)
+    K_D, M_D, _ = fc.assemble_dirichlet_disk(fc.CellOperators(mesh16))
     pencils.append(("dirichlet disk", K_D, M_D, 4))
 
     worst = 0.0

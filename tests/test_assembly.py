@@ -18,6 +18,17 @@ def _single_triangle_mesh(geometry):
                    tags=np.array([FIBER]), geometry=geometry)
 
 
+def _disk(mesh):
+    """The disk pencil of ``mesh``, on a CellOperators set built here."""
+    return fc.assemble_dirichlet_disk(fc.CellOperators(mesh))
+
+
+def _interface_nodes(mesh):
+    """The vertices of both a fiber and a matrix triangle."""
+    return np.intersect1d(mesh.triangles[mesh.tags == FIBER],
+                          mesh.triangles[mesh.tags == MATRIX])
+
+
 def test_stiffness_constants_in_kernel(mesh16):
     K = fc.CellOperators(mesh16).stiffness(1.0, 1.0)
     row_sums = np.asarray(K.sum(axis=1)).ravel()
@@ -102,7 +113,7 @@ def test_uniform_pencil_ground_state_is_gamma(mesh16):
 
 def test_dirichlet_disk_eigenvalue(mesh64, geometry):
     # Bessel-zero formula oracle: mu_1 = (j_{0,1}/r)^2
-    K_D, M_D, interior = fc.assemble_dirichlet_disk(mesh64)
+    K_D, M_D, interior = _disk(mesh64)
     mu1 = (fc.bessel_j0_zero(1) / geometry.radius) ** 2
     val = fc.smallest_eigenpairs(K_D, M_D, 1)[0].value
     assert val == pytest.approx(mu1, rel=0.01)
@@ -110,7 +121,7 @@ def test_dirichlet_disk_eigenvalue(mesh64, geometry):
 
 def test_dirichlet_disk_degenerate_pair(mesh64, geometry):
     # first nonradial disk mode (j_{1,1}/r)^2 is a double eigenvalue
-    K_D, M_D, _ = fc.assemble_dirichlet_disk(mesh64)
+    K_D, M_D, _ = _disk(mesh64)
     vals = [p.value for p in fc.smallest_eigenpairs(K_D, M_D, 3)]
     assert abs(vals[1] - vals[2]) <= 1e-6 * vals[1]
     j11 = 3.8317059702075125
@@ -118,8 +129,8 @@ def test_dirichlet_disk_degenerate_pair(mesh64, geometry):
 
 
 def test_dirichlet_disk_excludes_interface(mesh16):
-    _, _, interior = fc.assemble_dirichlet_disk(mesh16)
-    assert not set(interior) & set(mesh16.interface_nodes)
+    _, _, interior = _disk(mesh16)
+    assert not set(interior) & set(_interface_nodes(mesh16))
 
 
 def test_disk_interior_touches_no_matrix_triangle():
@@ -128,7 +139,7 @@ def test_disk_interior_touches_no_matrix_triangle():
     # frees them, and on the larger trial space mu1_h is lower (min-max)
     geometry = fc.CellGeometry(center=(0.5, 0.495))
     mesh = fc.generate_mesh(geometry, 64)
-    K_D, M_D, interior = fc.assemble_dirichlet_disk(mesh)
+    K_D, M_D, interior = _disk(mesh)
     used = np.unique(mesh.triangles[mesh.tags == FIBER])
     dist = np.hypot(*(mesh.vertices[used] - geometry.center).T) - geometry.radius
     by_distance = used[np.abs(dist) > 1e-12 * geometry.side]
@@ -169,7 +180,7 @@ def test_galerkin_monotonicity_disk(geometry, mesh16, mesh64):
     # min-max on refining meshes, up to the O(h) snapping perturbation
     vals = []
     for mesh in (mesh16, fc.generate_mesh(geometry, 32), mesh64):
-        K_D, M_D, _ = fc.assemble_dirichlet_disk(mesh)
+        K_D, M_D, _ = _disk(mesh)
         vals.append(fc.smallest_eigenpairs(K_D, M_D, 1)[0].value)
     assert vals[0] > vals[1] > vals[2]
 
@@ -231,15 +242,18 @@ def _fiber_part_off_the_matrix(geometry):
      "weights must be positive and finite"),
     (lambda g: fc.CellOperators(_single_triangle_mesh(g)).stiffness(math.inf, 1.0),
      "weights must be positive and finite"),
-    (lambda g: fc.assemble_dirichlet_disk(
-        replace(_single_triangle_mesh(g), tags=np.array([MATRIX]))),
+    (lambda g: _disk(replace(_single_triangle_mesh(g), tags=np.array([MATRIX]))),
      "no fiber triangles"),
-    (lambda g: fc.assemble_dirichlet_disk(_fiber_on_the_circle(g)),
+    (lambda g: _disk(_fiber_on_the_circle(g)),
      "no fiber/matrix interface"),
-    (lambda g: fc.assemble_dirichlet_disk(_fiber_part_off_the_matrix(g)),
+    (lambda g: _disk(_fiber_part_off_the_matrix(g)),
      "no fiber/matrix interface on a part of the fiber"),
-    (lambda g: fc.assemble_dirichlet_disk(_fiber_inside_the_matrix(g)),
+    (lambda g: _disk(_fiber_inside_the_matrix(g)),
      "no interior disk nodes"),
+    # h > r leaves one free node: the disk solve failed on a pencil of size 1
+    (lambda g: fc.discrete_disk_mu1(fc.generate_mesh(
+        fc.CellGeometry(center=(0.4, 0.55), radius=0.11), 8)),
+     "1 interior disk node, too few for a disk pencil"),
     # L = -1 gave a negative-definite pair, L = NaN NaN entries and n = 2.5
     # a bare numpy TypeError
     (lambda g: fc.assemble_1d(4, -1.0), r"L must be a finite number > 0, got -1\.0"),
@@ -249,6 +263,43 @@ def _fiber_part_off_the_matrix(geometry):
 def test_refusals(geometry, call, match):
     with pytest.raises(ValueError, match=match):
         call(geometry)
+
+
+def _sub_mesh_disk(mesh):
+    """The disk pencil built the old way, as an oracle: a second operator
+    set on the fibre sub-mesh, sliced to the fibre nodes off the interface."""
+    fiber = mesh.tags == FIBER
+    ops = fc.CellOperators(replace(mesh, triangles=mesh.triangles[fiber],
+                                   tags=mesh.tags[fiber]))
+    used = np.unique(mesh.triangles[fiber])
+    interior = used[~np.isin(used, _interface_nodes(mesh))]
+    return (ops.stiffness(1.0, 1.0)[interior][:, interior].tocsr(),
+            ops.mass(1.0, 1.0)[interior][:, interior].tocsr(), interior)
+
+
+@pytest.mark.parametrize("center,radius,n_div", [
+    ((0.5, 0.5), 0.25, 16), ((0.5, 0.5), 0.25, 64), ((0.5, 0.495), 0.3, 16),
+    ((0.5, 0.495), 0.3, 64), ((0.5, 0.495), 0.25, 64)])
+def test_disk_pencil_is_the_limit_sets_free_block(center, radius, n_div):
+    # the free block of the full cell's limit set holds the sub-mesh set's
+    # pencil bit for bit, and the limit set's matrix stiffness vanishes up
+    # to the rounding of its sums: its columns span ker K_M
+    mesh = fc.generate_mesh(fc.CellGeometry(center=center, radius=radius), n_div)
+    ops = fc.CellOperators(mesh)
+    *pencil, free = fc.assemble_dirichlet_disk(ops)
+    *oracle, interior = _sub_mesh_disk(mesh)
+    assert np.array_equal(free, interior)
+    for A, B in zip(pencil, oracle):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, name), getattr(B, name))
+    assert ops.limit is ops.limit and ops.limit.shape == (len(free) + 1,) * 2
+    assert np.abs(ops.limit.stiff_matrix).max() < 1e-14 * np.abs(ops.stiff_matrix).sum()
+
+
+def test_limit_set_needs_a_mesh(mesh16):
+    # a projection has no mesh to read the free nodes from
+    with pytest.raises(ValueError, match="no mesh, so no limit set"):
+        fc.CellOperators(mesh16).limit.limit
 
 
 @pytest.mark.parametrize("radius", [0.2, 0.2496, 0.25, 0.2504])

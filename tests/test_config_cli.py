@@ -282,9 +282,9 @@ def test_cli_validate_checks_the_sector_merge(tmp_path, monkeypatch):
 
 
 def test_cli_validate_shares_one_operator_set(tmp_path, monkeypatch):
-    # one set serves every pencil and merge on validate's coarse mesh; the
-    # others are the disk's and those the two oracles build for themselves,
-    # at most 6 in all (25 when each pencil built its own)
+    # one set serves every pencil, merge and disk solve on validate's coarse
+    # mesh; the others are those the two oracles build for themselves, at
+    # most 5 in all (25 when each pencil built its own, 6 with a disk set)
     built, init = [], fc.CellOperators.__init__
 
     def spy(self, mesh):
@@ -293,7 +293,7 @@ def test_cli_validate_shares_one_operator_set(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fc.CellOperators, "__init__", spy)
     assert main(["validate", "--out", str(tmp_path)]) == 0
-    assert len(built) <= 6
+    assert len(built) <= 5
 
 
 def test_cli_unknown_command_usage_error(capsys):

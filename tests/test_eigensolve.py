@@ -179,7 +179,7 @@ def _oracle_pencils(mesh12, mesh16):
             yield f"mesh12 eps={eps} j={j}", K, M
     K1, M1 = fc.assemble_1d(64, 1.0)
     yield "1D, 64 intervals", K1, M1
-    K_D, M_D, _ = fc.assemble_dirichlet_disk(mesh16)
+    K_D, M_D, _ = fc.assemble_dirichlet_disk(fc.CellOperators(mesh16))
     yield "mesh16 Dirichlet disk", K_D, M_D
 
 

@@ -135,11 +135,11 @@ CONFORMING = [((0.5, 0.5), radius, n_div) for radius, n_div in sorted(GOLDEN_HAS
 @pytest.mark.parametrize("center,radius,n_div", CONFORMING,
                          ids=[f"{x},{y}-r{r}-n{n}" for (x, y), r, n in CONFORMING])
 def test_interface_nodes_on_circle(center, radius, n_div):
-    # the generator conforms: the interface nodes, which the tags alone
-    # name, lie on the circle
+    # the generator conforms: the interface nodes, the fiber vertices that
+    # are not free, which the tags alone name, lie on the circle
     geometry = fc.CellGeometry(center=center, radius=radius)
     mesh = fc.generate_mesh(geometry, n_div)
-    pts = mesh.vertices[mesh.interface_nodes]
+    pts = mesh.vertices[np.setdiff1d(mesh.triangles[mesh.tags == FIBER], mesh.free_nodes)]
     dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     assert len(pts) > 0
     assert np.all(np.abs(dist - radius) <= 1e-12 * geometry.side)
@@ -189,7 +189,7 @@ def test_mesh_text_roundtrip(tmp_path, geometry, mesh16):
     assert np.array_equal(back.triangles, mesh16.triangles)
     assert np.array_equal(back.tags, mesh16.tags)
     assert np.allclose(back.vertices, mesh16.vertices, rtol=0, atol=0)
-    assert np.array_equal(back.interface_nodes, mesh16.interface_nodes)
+    assert np.array_equal(back.free_nodes, mesh16.free_nodes)
     assert back.geometry == geometry
     head = path.read_text().splitlines()[0].split()
     assert head == [str(len(mesh16.vertices)), str(len(mesh16.triangles))]
@@ -258,13 +258,22 @@ def test_read_mesh_refuses_non_finite_coordinates(tmp_path, geometry):
     _refused(path, geometry, rows, "not finite")
 
 
+def test_read_mesh_refuses_unused_vertex(tmp_path, geometry):
+    # a vertex in no triangle used to read as a free node: mu1_h came out,
+    # then the merge failed on an exactly singular K - sigma M
+    path, rows = _written_mesh8(tmp_path, geometry)
+    rows[0] = "146 256"
+    rows.insert(146, "0.5 0.5")
+    _refused(path, geometry, rows, "vertex 145 is used by no triangle")
+
+
 def test_mesh_stores_four_fields(mesh16):
-    # a hand-built copy derives the same interface nodes as the original
+    # a hand-built copy derives the same free nodes as the original
     assert [f.name for f in fields(TriMesh)] == ["vertices", "triangles", "tags",
                                                  "geometry"]
     copy = TriMesh(vertices=mesh16.vertices.copy(), triangles=mesh16.triangles.copy(),
                    tags=mesh16.tags.copy(), geometry=mesh16.geometry)
-    assert np.array_equal(copy.interface_nodes, mesh16.interface_nodes)
+    assert np.array_equal(copy.free_nodes, mesh16.free_nodes)
 
 
 def test_replace_derives_areas_afresh(mesh16):

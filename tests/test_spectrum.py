@@ -279,9 +279,8 @@ def test_renumbered_mesh_merges_whole(mesh16):
 def test_ceiling_below_the_kth_value_raises(mesh16, monkeypatch):
     # half the disk value puts the ceiling under the 8th value: the merge
     # finds fewer than 8 values below it and refuses to return them
-    disk = spectrum.discrete_disk_mu1
-    monkeypatch.setattr(spectrum, "discrete_disk_mu1",
-                        lambda mesh, tol: 0.5 * disk(mesh, tol=tol))
+    disk = spectrum._disk_mu1
+    monkeypatch.setattr(spectrum, "_disk_mu1", lambda ops, tol: 0.5 * disk(ops, tol))
     with pytest.raises(ValueError, match="of 8 values below the ceiling"):
         fc.merged_spectrum(mesh16, 0.2, 8)
 
@@ -306,8 +305,8 @@ def test_merge_logs_its_work(mesh16, caplog):
 
 
 def test_merge_builds_one_operator_set_per_mesh(mesh16, monkeypatch):
-    # the mesh's set serves every mode and sector pencil; the only other
-    # set is the disk's, on the fibre sub-mesh
+    # the mesh's set serves every mode and sector pencil and, through its
+    # limit set, the disk pencil too
     built, init = [], fc.CellOperators.__init__
 
     def spy(self, mesh):
@@ -316,24 +315,23 @@ def test_merge_builds_one_operator_set_per_mesh(mesh16, monkeypatch):
 
     monkeypatch.setattr(fc.CellOperators, "__init__", spy)
     fc.merged_spectrum(mesh16, 0.2, 8)
-    assert len(built) == 2 and built[0] is mesh16
-    assert (built[1].tags == fc.FIBER).all()
+    assert built == [mesh16]
 
 
 def test_disk_value_is_solved_once_per_operator_set(mesh16, monkeypatch):
     # every eps of a sweep reads the disk value the first merge solved
-    disk, calls = spectrum.discrete_disk_mu1, []
+    disk, calls = spectrum.assemble_dirichlet_disk, []
 
-    def spy(mesh, tol):
-        calls.append(tol)
-        return disk(mesh, tol=tol)
+    def spy(operators):
+        calls.append(operators)
+        return disk(operators)
 
-    monkeypatch.setattr(spectrum, "discrete_disk_mu1", spy)
+    monkeypatch.setattr(spectrum, "assemble_dirichlet_disk", spy)
     ops = fc.CellOperators(mesh16)
     for eps in (0.4, 0.2):
         fc.merged_spectrum(mesh16, eps, 3, operators=ops)
-    assert calls == [1e-9]
-    assert ops.disk_mu1 == {1e-9: disk(mesh16)}
+    assert calls == [ops]
+    assert ops.disk_mu1 == {1e-9: fc.discrete_disk_mu1(mesh16)}
 
 
 def test_e_copies_are_m_orthogonal_turns(mesh16):
